@@ -33,7 +33,7 @@ from .dynamics import (
     whi_after_delete,
     whi_before_insert,
 )
-from .hiverify import HiReport, fingerprint, shi_check, whi_check
+from .hiverify import HiReport, shi_check, whi_check
 
 __all__ = [
     "AVLTree", "CTreap", "CapacityError", "ComparisonTally", "CutoffSimulator",
@@ -42,7 +42,7 @@ __all__ = [
     "MissingKeyError", "PairedDict", "RebuildDecision", "SearchResult",
     "ThresholdedDict", "ZipZipTree", "amortized_after_delete",
     "amortized_after_insert", "counterexample_structures", "counterexample_trace",
-    "derive_seed", "fingerprint", "geometric_from_bits", "oracle_uniform",
+    "derive_seed", "geometric_from_bits", "oracle_uniform",
     "oracle_value", "shi_check", "threshold", "threshold_array",
     "treap_priority", "whi_after_delete", "whi_before_insert", "whi_check",
     "zz_rank",

@@ -23,17 +23,11 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import DuplicateKeyError, MissingKeyError
-from .structures import SearchResult, ZipZipTree
+from .core import MissingKeyError
+from .thresholding import CutoffState, ThresholdedDict
 
 AMORTIZED_INITIAL_CUTOFF = 4
 WHI_INITIAL_CUTOFF = 1
-
-
-@dataclass
-class CutoffState:
-    n: int
-    N: int
 
 
 @dataclass
@@ -89,11 +83,14 @@ def whi_after_delete(state: CutoffState, u: float) -> RebuildDecision:
 
 
 class CutoffSimulator:
-    """Cutoff-state machine without a backing tree.
+    """Dynamic cutoff policy: the amortized or the WHI scheme.
 
-    Scheme decisions depend only on (n, N, randomness), so distributional
-    HI tests over the cutoff marginal can skip tree maintenance entirely.
-    Rebuild work is tracked as key moves for cost accounting.
+    Scheme decisions depend only on (n, N, randomness), so the policy runs
+    on its own as a simulator -- distributional HI tests over the cutoff
+    marginal skip tree maintenance entirely -- and ``DynamicThresholdDict``
+    drives the same object to decide its rebuilds.  ``insert`` and
+    ``delete`` return True when a rebuild at the new ``N`` is due; rebuild
+    work is counted as key moves.
     """
 
     def __init__(self, scheme: str, rng: random.Random):
@@ -102,149 +99,66 @@ class CutoffSimulator:
         self.scheme = scheme
         self.rng = rng
         self.n = 0
-        self.N = AMORTIZED_INITIAL_CUTOFF if scheme == "amortized" else WHI_INITIAL_CUTOFF
+        self.N = self._initial()
         self.rebuilds = 0
         self.key_moves = 0
         self.operations = 0
+
+    def _initial(self) -> int:
+        return AMORTIZED_INITIAL_CUTOFF if self.scheme == "amortized" else WHI_INITIAL_CUTOFF
 
     @property
     def cutoff(self) -> int:
         return self.N
 
-    def _apply(self, decision: RebuildDecision):
+    def _apply(self, decision: RebuildDecision) -> bool:
         if decision.rebuild:
             self.N = decision.new_N
             self.rebuilds += 1
             self.key_moves += self.n
+        return decision.rebuild
 
-    def insert(self, key=None, f: float = 0.0):
+    def insert(self, key=None, f: float = 0.0) -> bool:
         self.operations += 1
         if self.scheme == "whi":
-            self._apply(whi_before_insert(CutoffState(self.n, self.N),
-                                          self.rng.random(), self.rng.random()))
+            due = self._apply(whi_before_insert(CutoffState(self.n, self.N),
+                                                self.rng.random(), self.rng.random()))
             self.n += 1
-        else:
-            self.n += 1
-            self._apply(amortized_after_insert(CutoffState(self.n, self.N)))
+            return due
+        self.n += 1
+        return self._apply(amortized_after_insert(CutoffState(self.n, self.N)))
 
-    def delete(self, key=None):
+    def delete(self, key=None) -> bool:
         if self.n == 0:
             raise MissingKeyError("empty")
         self.operations += 1
         self.n -= 1
         if self.n == 0:
-            self.N = AMORTIZED_INITIAL_CUTOFF if self.scheme == "amortized" else WHI_INITIAL_CUTOFF
-            return
+            self.N = self._initial()
+            return False
         if self.scheme == "whi":
-            self._apply(whi_after_delete(CutoffState(self.n, self.N), self.rng.random()))
-        else:
-            self._apply(amortized_after_delete(CutoffState(self.n, self.N)))
+            return self._apply(whi_after_delete(CutoffState(self.n, self.N),
+                                                self.rng.random()))
+        return self._apply(amortized_after_delete(CutoffState(self.n, self.N)))
+
+    def header(self) -> bytes:
+        return b"dyn;scheme=%s;N=%d;" % (self.scheme.encode(), self.N)
 
 
-class DynamicThresholdDict:
-    """Threshold-wrapped biased zip-zip tree with a dynamic cutoff.
+class DynamicThresholdDict(ThresholdedDict):
+    """``ThresholdedDict`` whose cutoff N follows a ``CutoffSimulator``.
 
     Every stored weight is max(f/2, 1/(2N)) for the current cutoff N; a
     rebuild reconstructs the tree from scratch in sorted key order with
     re-thresholded weights, so the fingerprint is a pure function of
-    (content set, structural seed, N).
+    (content set, structural seed, N).  Scheme draws come from
+    ``random.Random(scheme_seed)``.
     """
 
     kind = "dynamic-threshold"
 
     def __init__(self, seed: int, scheme: str = "whi", scheme_seed: int = 0):
-        if scheme not in ("amortized", "whi"):
-            raise ValueError("unknown scheme %r" % (scheme,))
-        self.seed = seed
-        self.scheme = scheme
-        self.rng = random.Random(scheme_seed)
-        self.N = AMORTIZED_INITIAL_CUTOFF if scheme == "amortized" else WHI_INITIAL_CUTOFF
-        self._freqs = {}
-        self._payloads = {}
-        self._tree = ZipZipTree(seed)
-
-    @property
-    def n(self) -> int:
-        return len(self._freqs)
-
-    @property
-    def cutoff(self) -> int:
-        return self.N
-
-    def state(self) -> CutoffState:
-        return CutoffState(self.n, self.N)
-
-    def _weight(self, f: float) -> float:
-        return max(f / 2.0, 1.0 / (2.0 * self.N))
-
-    def rebuild(self, new_N: int):
-        self.N = new_N
-        tree = ZipZipTree(self.seed)
-        for key in sorted(self._freqs):
-            tree.insert(key, self._weight(self._freqs[key]), self._payloads.get(key))
-        self._tree = tree
-
-    def insert(self, key, f: float = 0.0, payload: Optional[bytes] = None):
-        if key in self._freqs:
-            raise DuplicateKeyError(key)
-        if self.scheme == "whi":
-            decision = whi_before_insert(self.state(), self.rng.random(), self.rng.random())
-            if decision.rebuild:
-                self.rebuild(decision.new_N)
-            self._freqs[key] = f
-            if payload is not None:
-                self._payloads[key] = payload
-            self._tree.insert(key, self._weight(f), payload)
-        else:
-            self._freqs[key] = f
-            if payload is not None:
-                self._payloads[key] = payload
-            self._tree.insert(key, self._weight(f), payload)
-            decision = amortized_after_insert(self.state())
-            if decision.rebuild:
-                self.rebuild(decision.new_N)
-
-    def delete(self, key):
-        if key not in self._freqs:
-            raise MissingKeyError(key)
-        self._tree.delete(key)
-        del self._freqs[key]
-        self._payloads.pop(key, None)
-        if self.n == 0:
-            self.N = AMORTIZED_INITIAL_CUTOFF if self.scheme == "amortized" else WHI_INITIAL_CUTOFF
-            self._tree = ZipZipTree(self.seed)
-            return
-        if self.scheme == "whi":
-            decision = whi_after_delete(self.state(), self.rng.random())
-        else:
-            decision = amortized_after_delete(self.state())
-        if decision.rebuild:
-            self.rebuild(decision.new_N)
-
-    def search(self, key) -> SearchResult:
-        return self._tree.search(key)
-
-    def predecessor(self, key):
-        return self._tree.predecessor(key)
-
-    def range_query(self, lo, hi, tally=None):
-        return self._tree.range_query(lo, hi, tally)
-
-    def keys(self):
-        return self._tree.keys()
-
-    def __contains__(self, key):
-        return key in self._freqs
-
-    def __len__(self):
-        return self.n
-
-    def node_count(self) -> int:
-        return self._tree.node_count()
-
-    def fingerprint(self) -> bytes:
-        head = b"dyn;scheme=%s;N=%d;" % (self.scheme.encode(), self.N)
-        return head + self._tree.fingerprint()
+        self._attach(seed, CutoffSimulator(scheme, random.Random(scheme_seed)))
 
 
 def counterexample_trace(seed: int = 0):

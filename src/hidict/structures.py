@@ -2,7 +2,8 @@
 
 All trees share one contract: insert/delete/search/predecessor/range_query/
 node_count plus a canonical ``fingerprint()`` used by the history-independence
-harness.  The randomized trees (zip-zip and both learned treaps) are built on
+harness.  Every tree, AVL included, inherits its read path from ``_BST``.
+The randomized trees (zip-zip and both learned treaps) are built on
 a single precedence-tree engine: each node carries a totally ordered rank, the
 tree is the unique BST that is heap-ordered on ranks (ties broken toward the
 smaller key), and insertion/deletion use iterative unzip/zip so that deep,
@@ -35,6 +36,10 @@ class SearchResult:
 
 
 class _Node:
+    """Node of every tree.  ``rank`` orders the shape: the heap priority in
+    a precedence tree, the subtree height in an AVL tree.  One node type
+    keeps the attribute loads of the shared read path monomorphic."""
+
     __slots__ = ("key", "rank", "weight", "payload", "left", "right")
 
     def __init__(self, key, rank, weight, payload):
@@ -46,17 +51,18 @@ class _Node:
         self.right = None
 
 
-def zz_rank(seed: int, key, weight: float):
+def zz_rank(seed: int, key, weight: float, stream: int = 0):
     """Rank pair for a (possibly weighted) zip-zip tree node.
 
     r1 = floor(log2 weight) + Geometric(1/2); r2 is a uniform 32-bit
     tie-breaker.  Heavier keys get stochastically larger primary ranks,
-    which is what yields O(log W/w) retrieval depth.
+    which is what yields O(log W/w) retrieval depth.  The two draws use
+    oracle streams ``stream`` and ``stream + 1``.
     """
     if weight <= 0:
         raise ValueError("weight must be positive, got %r" % (weight,))
-    r1 = math.floor(math.log2(weight)) + geometric_from_bits(oracle_value(seed, key, 0))
-    r2 = oracle_value(seed, key, 1) & 0xFFFFFFFF
+    r1 = math.floor(math.log2(weight)) + geometric_from_bits(oracle_value(seed, key, stream))
+    r2 = oracle_value(seed, key, stream + 1) & 0xFFFFFFFF
     return (r1, r2)
 
 
@@ -77,27 +83,18 @@ def treap_priority(variant: str, f: float, seed: int, key) -> float:
     raise ValueError("unknown treap variant %r" % (variant,))
 
 
-class _PrecedenceTree:
-    """Base for trees whose shape is the unique heap-on-ranks BST."""
+class _BST:
+    """Read path shared by every tree.
 
-    kind = "precedence"
+    Subclasses own the shape (what a node's ``rank`` holds) and the update
+    path; the read path uses only ``key``, ``payload``, ``left`` and
+    ``right``.
+    """
 
     def __init__(self, seed: int):
         self.seed = seed
         self._root = None
         self._n = 0
-
-    # subclasses provide the rank for a (key, weight-or-frequency)
-    def _rank(self, key, weight):
-        raise NotImplementedError
-
-    @staticmethod
-    def _wins(rank_a, key_a, rank_b, key_b):
-        # higher rank wins; rank ties go to the smaller key so the shape
-        # stays a pure function of the content set
-        if rank_a != rank_b:
-            return rank_a > rank_b
-        return key_a < key_b
 
     def node_count(self) -> int:
         return self._n
@@ -112,6 +109,114 @@ class _PrecedenceTree:
                 return True
             cur = cur.left if key < cur.key else cur.right
         return False
+
+    def search(self, key) -> SearchResult:
+        comps = 0
+        cur = self._root
+        while cur is not None:
+            comps += 1
+            if key == cur.key:
+                return SearchResult(True, comps, cur.payload)
+            cur = cur.left if key < cur.key else cur.right
+        return SearchResult(False, comps)
+
+    def search_budgeted(self, key, budget: int):
+        """Search spending at most ``budget`` comparisons.
+
+        Returns (result, exhausted).  exhausted=True means the budget ran
+        out before the descent reached a conclusion.
+        """
+        comps = 0
+        cur = self._root
+        while cur is not None:
+            if comps >= budget:
+                return SearchResult(False, comps), True
+            comps += 1
+            if key == cur.key:
+                return SearchResult(True, comps, cur.payload), False
+            cur = cur.left if key < cur.key else cur.right
+        return SearchResult(False, comps), False
+
+    def predecessor(self, key):
+        best = None
+        cur = self._root
+        while cur is not None:
+            if cur.key < key:
+                best = cur.key
+                cur = cur.right
+            else:
+                cur = cur.left
+        return best
+
+    def range_query(self, lo, hi, tally: Optional[ComparisonTally] = None):
+        if lo > hi:
+            raise ValueError("range bounds out of order: %r > %r" % (lo, hi))
+        out = []
+        stack = [(self._root, False)]
+        while stack:
+            node, emit = stack.pop()
+            if node is None:
+                continue
+            if emit:
+                out.append(node.key)
+                continue
+            if tally is not None:
+                tally.count += 1
+            if node.key < lo:
+                stack.append((node.right, False))
+            elif node.key > hi:
+                stack.append((node.left, False))
+            else:
+                stack.append((node.right, False))
+                stack.append((node, True))
+                stack.append((node.left, False))
+        return out
+
+    def _inorder(self):
+        stack = []
+        cur = self._root
+        while cur is not None or stack:
+            while cur is not None:
+                stack.append(cur)
+                cur = cur.left
+            cur = stack.pop()
+            yield cur
+            cur = cur.right
+
+    def keys(self):
+        return [node.key for node in self._inorder()]
+
+    def items(self):
+        """(key, payload) pairs in key order."""
+        return [(node.key, node.payload) for node in self._inorder()]
+
+    def __iter__(self):
+        return iter(self.keys())
+
+    def depth_of(self, key):
+        """Zero-based depth of a present key (comparisons - 1)."""
+        res = self.search(key)
+        if not res.found:
+            raise MissingKeyError(key)
+        return res.comparisons - 1
+
+
+class _PrecedenceTree(_BST):
+    """Base for trees whose shape is the unique heap-on-ranks BST."""
+
+    kind = "precedence"
+
+    # subclasses provide the rank for a (key, weight-or-frequency)
+    def _rank(self, key, weight):
+        raise NotImplementedError
+
+    @staticmethod
+    def _wins(rank_a, key_a, rank_b, key_b):
+        # higher rank wins; rank ties go to the smaller key so the shape
+        # stays a pure function of the content set
+        if rank_a != rank_b:
+            return rank_a > rank_b
+        return key_a < key_b
 
     def insert(self, key, weight: float = 1.0, payload: Optional[bytes] = None):
         if key in self:
@@ -202,91 +307,6 @@ class _PrecedenceTree:
             attach_node.left = rest
         return root
 
-    def search(self, key) -> SearchResult:
-        comps = 0
-        cur = self._root
-        while cur is not None:
-            comps += 1
-            if key == cur.key:
-                return SearchResult(True, comps, cur.payload)
-            cur = cur.left if key < cur.key else cur.right
-        return SearchResult(False, comps)
-
-    def search_budgeted(self, key, budget: int):
-        """Search spending at most ``budget`` comparisons.
-
-        Returns (result, exhausted).  exhausted=True means the budget ran
-        out before the descent reached a conclusion.
-        """
-        comps = 0
-        cur = self._root
-        while cur is not None:
-            if comps >= budget:
-                return SearchResult(False, comps), True
-            comps += 1
-            if key == cur.key:
-                return SearchResult(True, comps, cur.payload), False
-            cur = cur.left if key < cur.key else cur.right
-        return SearchResult(False, comps), False
-
-    def predecessor(self, key):
-        best = None
-        cur = self._root
-        while cur is not None:
-            if cur.key < key:
-                best = cur.key
-                cur = cur.right
-            else:
-                cur = cur.left
-        return best
-
-    def range_query(self, lo, hi, tally: Optional[ComparisonTally] = None):
-        if lo > hi:
-            raise ValueError("range bounds out of order: %r > %r" % (lo, hi))
-        out = []
-        stack = [(self._root, False)]
-        while stack:
-            node, emit = stack.pop()
-            if node is None:
-                continue
-            if emit:
-                out.append(node.key)
-                continue
-            if tally is not None:
-                tally.count += 1
-            if node.key < lo:
-                stack.append((node.right, False))
-            elif node.key > hi:
-                stack.append((node.left, False))
-            else:
-                stack.append((node.right, False))
-                stack.append((node, True))
-                stack.append((node.left, False))
-        return out
-
-    def keys(self):
-        out = []
-        stack = []
-        cur = self._root
-        while cur is not None or stack:
-            while cur is not None:
-                stack.append(cur)
-                cur = cur.left
-            cur = stack.pop()
-            out.append(cur.key)
-            cur = cur.right
-        return out
-
-    def __iter__(self):
-        return iter(self.keys())
-
-    def depth_of(self, key):
-        """Zero-based depth of a present key (comparisons - 1)."""
-        res = self.search(key)
-        if not res.found:
-            raise MissingKeyError(key)
-        return res.comparisons - 1
-
     def _payload_digest(self) -> bytes:
         h = hashlib.sha256()
         stack = [self._root]
@@ -365,14 +385,7 @@ class ZipZipTree(_PrecedenceTree):
             self.kind = "zipzip+%d" % stream_base
 
     def _rank(self, key, weight):
-        if weight <= 0:
-            raise ValueError("weight must be positive, got %r" % (weight,))
-        base = self._stream_base
-        r1 = math.floor(math.log2(weight)) + geometric_from_bits(
-            oracle_value(self.seed, key, base)
-        )
-        r2 = oracle_value(self.seed, key, base + 1) & 0xFFFFFFFF
-        return (r1, r2)
+        return zz_rank(self.seed, key, weight, self._stream_base)
 
 
 class LTreap(_PrecedenceTree):
@@ -402,33 +415,22 @@ class CTreap(_PrecedenceTree):
         return (math.log(u) / f,)
 
 
-class _AvlNode:
-    __slots__ = ("key", "payload", "left", "right", "height")
+class AVLTree(_BST):
+    """Frequency-oblivious balanced BST; the non-learned control.
 
-    def __init__(self, key, payload):
-        self.key = key
-        self.payload = payload
-        self.left = None
-        self.right = None
-        self.height = 1
-
-
-class AVLTree:
-    """Frequency-oblivious balanced BST; the non-learned control."""
+    A node's ``rank`` holds the height of its subtree."""
 
     kind = "avl"
 
     def __init__(self, seed: int = 0):
-        self.seed = seed  # unused; uniform constructor signature
-        self._root = None
-        self._n = 0
+        super().__init__(seed)  # seed unused; uniform constructor signature
 
     @staticmethod
     def _h(node):
-        return node.height if node is not None else 0
+        return node.rank if node is not None else 0
 
     def _fix(self, node):
-        node.height = 1 + max(self._h(node.left), self._h(node.right))
+        node.rank = 1 + max(self._h(node.left), self._h(node.right))
 
     def _balance(self, node):
         return self._h(node.left) - self._h(node.right)
@@ -466,7 +468,7 @@ class AVLTree:
         # weight accepted for interface uniformity and ignored
         def rec(node):
             if node is None:
-                return _AvlNode(key, payload)
+                return _Node(key, 1, None, payload)
             if key == node.key:
                 raise DuplicateKeyError(key)
             if key < node.key:
@@ -502,81 +504,6 @@ class AVLTree:
         self._root = rec(self._root, key)
         self._n -= 1
 
-    def __contains__(self, key):
-        cur = self._root
-        while cur is not None:
-            if key == cur.key:
-                return True
-            cur = cur.left if key < cur.key else cur.right
-        return False
-
-    def search(self, key) -> SearchResult:
-        comps = 0
-        cur = self._root
-        while cur is not None:
-            comps += 1
-            if key == cur.key:
-                return SearchResult(True, comps, cur.payload)
-            cur = cur.left if key < cur.key else cur.right
-        return SearchResult(False, comps)
-
-    def predecessor(self, key):
-        best = None
-        cur = self._root
-        while cur is not None:
-            if cur.key < key:
-                best = cur.key
-                cur = cur.right
-            else:
-                cur = cur.left
-        return best
-
-    def range_query(self, lo, hi, tally: Optional[ComparisonTally] = None):
-        if lo > hi:
-            raise ValueError("range bounds out of order: %r > %r" % (lo, hi))
-        out = []
-        stack = [(self._root, False)]
-        while stack:
-            node, emit = stack.pop()
-            if node is None:
-                continue
-            if emit:
-                out.append(node.key)
-                continue
-            if tally is not None:
-                tally.count += 1
-            if node.key < lo:
-                stack.append((node.right, False))
-            elif node.key > hi:
-                stack.append((node.left, False))
-            else:
-                stack.append((node.right, False))
-                stack.append((node, True))
-                stack.append((node.left, False))
-        return out
-
-    def keys(self):
-        out = []
-        stack = []
-        cur = self._root
-        while cur is not None or stack:
-            while cur is not None:
-                stack.append(cur)
-                cur = cur.left
-            cur = stack.pop()
-            out.append(cur.key)
-            cur = cur.right
-        return out
-
-    def __iter__(self):
-        return iter(self.keys())
-
-    def node_count(self) -> int:
-        return self._n
-
-    def __len__(self):
-        return self._n
-
     def height(self) -> int:
         return self._h(self._root)
 
@@ -588,7 +515,7 @@ class AVLTree:
             if node is None:
                 parts.append(b".")
                 continue
-            parts.append(b"(%s:h%d)" % (repr(node.key).encode(), node.height))
+            parts.append(b"(%s:h%d)" % (repr(node.key).encode(), node.rank))
             stack.append(node.right)
             stack.append(node.left)
         return b"".join(parts)

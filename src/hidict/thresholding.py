@@ -8,6 +8,7 @@ O(log capacity) by an adversarial estimate.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -35,39 +36,104 @@ def threshold_array(f: np.ndarray, capacity: int) -> np.ndarray:
     return np.maximum(f / 2.0, 1.0 / (2.0 * capacity))
 
 
-class ThresholdedDict:
-    """Static-capacity threshold wrapper around a biased zip-zip tree.
+@dataclass
+class CutoffState:
+    n: int
+    N: int
 
-    Raw frequencies are kept alongside entries so a capacity change can
-    re-threshold losslessly (the dynamic schemes rebuild through this).
+
+class FixedCutoff:
+    """Cutoff policy of a static-capacity dict: N never moves.
+
+    Exposes the cutoff-policy interface: ``n``, ``N``, ``insert()`` and
+    ``delete()`` (each returns True when a rebuild at ``N`` is due), and the
+    fingerprint ``header()``.
+    """
+
+    def __init__(self, capacity: int):
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1, got %r" % (capacity,))
+        self.n = 0
+        self.N = capacity
+
+    def insert(self) -> bool:
+        if self.n >= self.N:
+            raise CapacityError("capacity %d exceeded" % self.N)
+        self.n += 1
+        return False
+
+    def delete(self) -> bool:
+        self.n -= 1
+        return False
+
+    def header(self) -> bytes:
+        return b"threshold;cap=%d;" % self.N
+
+
+class ThresholdedDict:
+    """Threshold wrapper around a biased zip-zip tree.
+
+    Every stored weight is ``threshold(f, N)`` for the cutoff N of the
+    policy: fixed at ``capacity`` here, dynamic in ``DynamicThresholdDict``.
+    Raw frequencies are kept alongside entries, so a rebuild at a new N
+    re-thresholds losslessly; the tree supplies the (key, payload) pairs.
     """
 
     kind = "threshold-zipzip"
 
-    def __init__(self, seed: int, capacity: int, stream_base: int = 0):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1, got %r" % (capacity,))
-        self.seed = seed
-        self.capacity = capacity
-        self._freqs = {}
-        self._tree = ZipZipTree(seed, stream_base=stream_base)
+    def __init__(self, seed: int, capacity: int):
+        self._attach(seed, FixedCutoff(capacity))
 
-    def insert(self, key, f: float, payload: Optional[bytes] = None):
+    def _attach(self, seed: int, policy):
+        self.seed = seed
+        self.policy = policy
+        self._freqs = {}
+        self._tree = ZipZipTree(seed)
+
+    @property
+    def N(self) -> int:
+        return self.policy.N
+
+    capacity = cutoff = N  # the names callers use for the cutoff
+
+    @property
+    def n(self) -> int:
+        return len(self._freqs)
+
+    def state(self) -> CutoffState:
+        return CutoffState(self.n, self.N)
+
+    def rebuild(self, N: int):
+        """Rebuild from scratch in key order, re-thresholded at cutoff N."""
+        self.policy.N = N
+        tree = ZipZipTree(self.seed)
+        for key, payload in self._tree.items():
+            tree.insert(key, threshold(self._freqs[key], N), payload)
+        self._tree = tree
+
+    def insert(self, key, f: float = 0.0, payload: Optional[bytes] = None):
         if key in self._freqs:
             raise DuplicateKeyError(key)
-        if len(self._freqs) >= self.capacity:
-            raise CapacityError(
-                "capacity %d exceeded inserting %r" % (self.capacity, key)
-            )
-        w = threshold(f, self.capacity)
-        self._tree.insert(key, w, payload)
+        # threshold() validates f before the tree or the policy changes
+        self._tree.insert(key, threshold(f, self.N), payload)
+        try:
+            rebuild_due = self.policy.insert()
+        except CapacityError:
+            self._tree.delete(key)
+            raise
         self._freqs[key] = f
+        # the shape depends only on the (key, weight) set, so a rebuild
+        # applied after the insert equals one applied before it
+        if rebuild_due:
+            self.rebuild(self.N)
 
     def delete(self, key):
         if key not in self._freqs:
             raise MissingKeyError(key)
         self._tree.delete(key)
         del self._freqs[key]
+        if self.policy.delete():
+            self.rebuild(self.N)
 
     def search(self, key) -> SearchResult:
         return self._tree.search(key)
@@ -100,7 +166,7 @@ class ThresholdedDict:
         return self._freqs[key]
 
     def stored_weight_sum(self) -> float:
-        return sum(threshold(f, self.capacity) for f in self._freqs.values())
+        return sum(threshold(f, self.N) for f in self._freqs.values())
 
     def fingerprint(self) -> bytes:
-        return b"threshold;cap=%d;" % self.capacity + self._tree.fingerprint()
+        return self.policy.header() + self._tree.fingerprint()

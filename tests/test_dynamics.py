@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 from scipy import stats
 
+from hidict.core import MissingKeyError
 from hidict.dynamics import (
     AMORTIZED_INITIAL_CUTOFF,
     CutoffSimulator,
@@ -243,3 +244,61 @@ def test_simulator_validates_scheme():
         CutoffSimulator("bogus", random.Random(0))
     with pytest.raises(ValueError):
         DynamicThresholdDict(0, scheme="bogus")
+
+
+@pytest.mark.parametrize("scheme", ["whi", "amortized"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1, 1.5])
+def test_invalid_frequency_leaves_no_trace(scheme, bad):
+    def make():
+        d = DynamicThresholdDict(5, scheme=scheme, scheme_seed=3)
+        for k in (1, 3, 4):
+            d.insert(k, 0.25, b"v%d" % k)
+        return d
+
+    d, twin = make(), make()
+    with pytest.raises(ValueError):
+        d.insert(2, bad)
+    assert 2 not in d and len(d) == len(twin) == 3
+    assert d.keys() == twin.keys() == [1, 3, 4]
+    assert d.N == twin.N
+    assert d.fingerprint() == twin.fingerprint()
+    with pytest.raises(MissingKeyError):
+        d.delete(2)
+    # the bad insert consumed no scheme draw: both dicts keep evolving alike
+    assert d.policy.rng.getstate() == twin.policy.rng.getstate()
+    for k in range(5, 40):
+        d.insert(k, 0.01)
+        twin.insert(k, 0.01)
+        assert (d.N, d.fingerprint()) == (twin.N, twin.fingerprint())
+    for k in range(5, 40, 2):
+        d.delete(k)
+        twin.delete(k)
+        assert (d.N, d.fingerprint()) == (twin.N, twin.fingerprint())
+
+
+@pytest.mark.parametrize("scheme", ["whi", "amortized"])
+def test_dict_matches_simulator_and_fresh_build(scheme):
+    d = DynamicThresholdDict(21, scheme=scheme, scheme_seed=17)
+    sim = CutoffSimulator(scheme, random.Random(17))
+    rng = random.Random(99)
+    present = {}
+    for step in range(3000):
+        # drift between growth and shrinkage so rebuilds fire both ways
+        grow = 0.65 if (step // 500) % 2 == 0 else 0.35
+        k = rng.randint(1, 400)
+        if k not in present and (not present or rng.random() < grow):
+            present[k] = (rng.random() / 400, b"p%d" % k)
+            d.insert(k, *present[k])
+            sim.insert()
+        elif present:
+            k = k if k in present else rng.choice(sorted(present))
+            del present[k]
+            d.delete(k)
+            sim.delete()
+        assert (d.n, d.N) == (sim.n, sim.N)
+    assert d.policy.rebuilds == sim.rebuilds > 10
+    fresh = DynamicThresholdDict(21, scheme=scheme, scheme_seed=0)
+    for k in sorted(present):
+        fresh.insert(k, *present[k])
+    fresh.rebuild(d.N)
+    assert d.fingerprint() == fresh.fingerprint()
