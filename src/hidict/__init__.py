@@ -16,7 +16,6 @@ from .structures import (
     LTreap,
     SearchResult,
     ZipZipTree,
-    treap_priority,
     zz_rank,
 )
 from .thresholding import ThresholdedDict, threshold, threshold_array
@@ -44,6 +43,6 @@ __all__ = [
     "amortized_after_insert", "counterexample_structures", "counterexample_trace",
     "derive_seed", "geometric_from_bits", "oracle_uniform",
     "oracle_value", "shi_check", "threshold", "threshold_array",
-    "treap_priority", "whi_after_delete", "whi_before_insert", "whi_check",
+    "whi_after_delete", "whi_before_insert", "whi_check",
     "zz_rank",
 ]

@@ -50,28 +50,10 @@ class BenchRow:
     nodes: int
 
 
-class _Uniform:
-    """Adapter dropping the frequency estimate for non-learned trees."""
-
-    def __init__(self, tree):
-        self._tree = tree
-
-    def insert(self, key, f):
-        self._tree.insert(key, 1.0)
-
-    def search(self, key):
-        return self._tree.search(key)
-
-    def node_count(self):
-        return self._tree.node_count()
-
-
 def make_structure(name: str, seed: int, n: int, gamma: float = 1.0):
     if name == "avl":
-        return _Uniform(AVLTree(seed))
-    if name == "zipzip":
-        return _Uniform(ZipZipTree(seed))
-    if name == "biased-zipzip":
+        return AVLTree(seed)
+    if name in ("zipzip", "biased-zipzip"):
         return ZipZipTree(seed)
     if name == "threshold-zipzip":
         return ThresholdedDict(seed, capacity=n)
@@ -84,6 +66,14 @@ def make_structure(name: str, seed: int, n: int, gamma: float = 1.0):
     raise ValueError("unknown structure %r" % (name,))
 
 
+def _fill(name: str, s, assigned):
+    """Insert keys 1..n with their assigned frequencies; the non-learned
+    trees get weight 1."""
+    uniform = name in ("avl", "zipzip")
+    for key in range(1, len(assigned) + 1):
+        s.insert(key, 1.0 if uniform else float(assigned[key - 1]))
+
+
 def _run_one(test: str, structure_name: str, spec: WorkloadSpec, trial: int,
              master_seed: int, gamma: float) -> BenchRow:
     struct_seed = derive_seed(master_seed, structure_name, spec.n, spec.alpha,
@@ -92,8 +82,7 @@ def _run_one(test: str, structure_name: str, spec: WorkloadSpec, trial: int,
                              spec.delta, trial)
     assigned = assigned_frequencies(spec)
     s = make_structure(structure_name, struct_seed, spec.n, gamma)
-    for key in range(1, spec.n + 1):
-        s.insert(key, float(assigned[key - 1]))
+    _fill(structure_name, s, assigned)
     base = spec.base_frequencies()
     qs = sample_queries(base, spec.queries, query_seed & 0x7FFFFFFF)
     counts = np.bincount(qs, minlength=spec.n + 1)
@@ -165,8 +154,7 @@ def run_size(structures: Sequence[str], n_values: Sequence[int] = DEFAULT_N_LIST
         for name in structures:
             seed = derive_seed(master_seed, name, n, alpha, 0.0, 0)
             s = make_structure(name, seed, n, gamma)
-            for key in range(1, n + 1):
-                s.insert(key, float(assigned[key - 1]))
+            _fill(name, s, assigned)
             rows.append(BenchRow("size", name, n, alpha, 0.0, gamma, seed, 0,
                                  0.0, 0, s.node_count()))
     rows.sort(key=lambda r: (r.test, r.structure, r.n, r.alpha, r.delta, r.seed))

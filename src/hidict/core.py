@@ -26,13 +26,19 @@ class CapacityError(RuntimeError):
 
 
 def _key_bytes(key) -> bytes:
-    if isinstance(key, int):
+    # Only exact int, str and bytes are keys.  A float, bool or numpy
+    # integer compares equal to an int key in the tree but would hash to
+    # other ranks, so one content set could take two shapes.
+    kind = type(key)
+    if kind is int:
         # sign byte + magnitude keeps distinct ints distinct
         mag = abs(key)
         return bytes([0 if key >= 0 else 1]) + mag.to_bytes((mag.bit_length() + 7) // 8 or 1, "big")
-    if isinstance(key, bytes):
+    if kind is bytes:
         return b"b" + key
-    return b"s" + str(key).encode("utf-8")
+    if kind is str:
+        return b"s" + key.encode("utf-8")
+    raise TypeError("keys must be int, str or bytes, got %s" % kind.__name__)
 
 
 def oracle_value(seed: int, key, stream: int = 0) -> int:

@@ -155,8 +155,6 @@ class DynamicThresholdDict(ThresholdedDict):
     ``random.Random(scheme_seed)``.
     """
 
-    kind = "dynamic-threshold"
-
     def __init__(self, seed: int, scheme: str = "whi", scheme_seed: int = 0):
         self._attach(seed, CutoffSimulator(scheme, random.Random(scheme_seed)))
 

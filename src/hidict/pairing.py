@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .core import DuplicateKeyError, MissingKeyError
 from .structures import SearchResult, ZipZipTree
 from .thresholding import ThresholdedDict
 
@@ -30,8 +29,6 @@ class PairedDict:
     zip-zip tree on separate oracle streams.
     """
 
-    kind = "paired-zipzip"
-
     def __init__(self, seed: int, gamma: float = 1.0, capacity: Optional[int] = None):
         if gamma <= 0:
             raise ValueError("gamma must be positive, got %r" % (gamma,))
@@ -43,7 +40,6 @@ class PairedDict:
         else:
             self.learned = ZipZipTree(seed)
         self.fallback = ZipZipTree(seed, stream_base=8)
-        self._count = 0
 
     def insert(self, key, f: float, payload: Optional[bytes] = None):
         if f <= 0:
@@ -55,19 +51,17 @@ class PairedDict:
         except Exception:
             self.learned.delete(key)  # keep the tandem invariant on failure
             raise
-        self._count += 1
 
     def delete(self, key):
         self.learned.delete(key)
         self.fallback.delete(key)
-        self._count -= 1
 
     def search_budget(self) -> int:
-        return max(1, math.floor(self.gamma * math.log2(max(self._count, 2))))
+        return max(1, math.floor(self.gamma * math.log2(max(len(self.fallback), 2))))
 
     def search(self, key) -> SearchResult:
-        if self._count == 0:
-            return SearchResult(False, 0)
+        # an empty pair ends here too: the learned descent concludes at
+        # once with 0 comparisons
         budget = self.search_budget()
         res, exhausted = self.learned.search_budgeted(key, budget)
         if res.found:
@@ -95,7 +89,7 @@ class PairedDict:
         return key in self.fallback
 
     def __len__(self):
-        return self._count
+        return len(self.fallback)
 
     def node_count(self) -> int:
         # 2n structural nodes; payloads may be shared but nodes are not

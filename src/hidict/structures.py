@@ -66,23 +66,6 @@ def zz_rank(seed: int, key, weight: float, stream: int = 0):
     return (r1, r2)
 
 
-def treap_priority(variant: str, f: float, seed: int, key) -> float:
-    """Real-valued priority for the two learned-treap baselines.
-
-    Variant "L" uses the frequency estimate itself (ties broken by oracle
-    bits inside the tree); variant "C" draws u uniform in (0, 1) per key
-    and uses u**(1/f), the classic weighted-treap priority.
-    """
-    if variant == "L":
-        return f
-    if variant == "C":
-        if f <= 0:
-            raise ValueError("variant C requires f > 0")
-        u = oracle_uniform(seed, key, 3)
-        return u ** (1.0 / f)
-    raise ValueError("unknown treap variant %r" % (variant,))
-
-
 class _BST:
     """Read path shared by every tree.
 
@@ -193,13 +176,6 @@ class _BST:
     def __iter__(self):
         return iter(self.keys())
 
-    def depth_of(self, key):
-        """Zero-based depth of a present key (comparisons - 1)."""
-        res = self.search(key)
-        if not res.found:
-            raise MissingKeyError(key)
-        return res.comparisons - 1
-
 
 class _PrecedenceTree(_BST):
     """Base for trees whose shape is the unique heap-on-ranks BST."""
@@ -219,9 +195,11 @@ class _PrecedenceTree(_BST):
         return key_a < key_b
 
     def insert(self, key, weight: float = 1.0, payload: Optional[bytes] = None):
+        # the rank comes first: it rejects an unsupported key type even
+        # when the key equals a present one (1.0 == 1)
+        rank = self._rank(key, weight)
         if key in self:
             raise DuplicateKeyError(key)
-        rank = self._rank(key, weight)
         new = _Node(key, rank, weight, payload)
         parent = None
         cur = self._root
@@ -309,17 +287,9 @@ class _PrecedenceTree(_BST):
 
     def _payload_digest(self) -> bytes:
         h = hashlib.sha256()
-        stack = [self._root]
-        items = []
-        while stack:
-            node = stack.pop()
-            if node is None:
+        for key, payload in self.items():
+            if payload is None:
                 continue
-            if node.payload is not None:
-                items.append((node.key, node.payload))
-            stack.append(node.left)
-            stack.append(node.right)
-        for key, payload in sorted(items):
             h.update(repr(key).encode())
             h.update(b"=")
             h.update(payload)

