@@ -66,12 +66,22 @@ def make_structure(name: str, seed: int, n: int, gamma: float = 1.0):
     raise ValueError("unknown structure %r" % (name,))
 
 
+# precedence trees whose shape is a function of (key, weight) alone, so a
+# sorted bulk load equals the insert-built tree
+_BULK_LOADED = ("zipzip", "biased-zipzip", "l-treap", "c-treap")
+
+
 def _fill(name: str, s, assigned):
-    """Insert keys 1..n with their assigned frequencies; the non-learned
+    """Fill keys 1..n with their assigned frequencies; the non-learned
     trees get weight 1."""
     uniform = name in ("avl", "zipzip")
-    for key in range(1, len(assigned) + 1):
-        s.insert(key, 1.0 if uniform else float(assigned[key - 1]))
+    entries = ((key, 1.0 if uniform else float(assigned[key - 1]), None)
+               for key in range(1, len(assigned) + 1))
+    if name in _BULK_LOADED:
+        s.load_sorted(entries)
+    else:
+        for key, weight, _ in entries:
+            s.insert(key, weight)
 
 
 def _run_one(test: str, structure_name: str, spec: WorkloadSpec, trial: int,

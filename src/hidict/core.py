@@ -25,10 +25,18 @@ class CapacityError(RuntimeError):
     """Raised when a static-capacity structure overflows."""
 
 
+# Keys are exactly these types.  A float, bool or numpy integer compares
+# equal to an int key in the tree but would hash to other ranks, so one
+# content set could take two shapes.
+KEY_TYPES = (int, str, bytes)
+
+
+def key_type_error(key) -> TypeError:
+    """The error for a key whose type is not in ``KEY_TYPES``."""
+    return TypeError("keys must be int, str or bytes, got %s" % type(key).__name__)
+
+
 def _key_bytes(key) -> bytes:
-    # Only exact int, str and bytes are keys.  A float, bool or numpy
-    # integer compares equal to an int key in the tree but would hash to
-    # other ranks, so one content set could take two shapes.
     kind = type(key)
     if kind is int:
         # sign byte + magnitude keeps distinct ints distinct
@@ -38,7 +46,7 @@ def _key_bytes(key) -> bytes:
         return b"b" + key
     if kind is str:
         return b"s" + key.encode("utf-8")
-    raise TypeError("keys must be int, str or bytes, got %s" % kind.__name__)
+    raise key_type_error(key)
 
 
 def oracle_value(seed: int, key, stream: int = 0) -> int:

@@ -8,7 +8,8 @@ a single precedence-tree engine: each node carries a totally ordered rank, the
 tree is the unique BST that is heap-ordered on ranks (ties broken toward the
 smaller key), and insertion/deletion use iterative unzip/zip so that deep,
 degenerate trees (which the adversarial benchmarks deliberately produce)
-never hit the recursion limit.
+never hit the recursion limit.  Nodes already in key order are linked in
+O(n) by the Cartesian-tree stack construction (bulk loads and rebuilds).
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ from .core import (
     DuplicateKeyError,
     MissingKeyError,
     ComparisonTally,
+    KEY_TYPES,
     geometric_from_bits,
+    key_type_error,
     oracle_uniform,
     oracle_value,
 )
@@ -61,9 +64,21 @@ def zz_rank(seed: int, key, weight: float, stream: int = 0):
     """
     if weight <= 0:
         raise ValueError("weight must be positive, got %r" % (weight,))
-    r1 = math.floor(math.log2(weight)) + geometric_from_bits(oracle_value(seed, key, stream))
+    r1 = _weight_level(weight) + geometric_from_bits(oracle_value(seed, key, stream))
     r2 = oracle_value(seed, key, stream + 1) & 0xFFFFFFFF
     return (r1, r2)
+
+
+def _weight_level(weight: float) -> int:
+    # the part of a zip-zip rank that depends on the weight
+    return math.floor(math.log2(weight))
+
+
+def zz_rerank(rank, old_weight: float, new_weight: float):
+    """The ``zz_rank`` of a key at ``new_weight``, from its rank at
+    ``old_weight``: the geometric draw and the tie-breaker do not depend on
+    the weight, so no oracle call is needed."""
+    return (rank[0] - _weight_level(old_weight) + _weight_level(new_weight), rank[1])
 
 
 class _BST:
@@ -198,14 +213,23 @@ class _PrecedenceTree(_BST):
         # the rank comes first: it rejects an unsupported key type even
         # when the key equals a present one (1.0 == 1)
         rank = self._rank(key, weight)
-        if key in self:
-            raise DuplicateKeyError(key)
-        new = _Node(key, rank, weight, payload)
         parent = None
         cur = self._root
-        while cur is not None and not self._wins(rank, key, cur.rank, cur.key):
+        while cur is not None:
+            if key == cur.key:
+                raise DuplicateKeyError(key)
+            if self._wins(rank, key, cur.rank, cur.key):
+                break
             parent = cur
             cur = cur.left if key < cur.key else cur.right
+        # the rest of the search path is the unzip path below cur; a
+        # present key lies on it when its rank is below the new one
+        node = cur
+        while node is not None:
+            if key == node.key:
+                raise DuplicateKeyError(key)
+            node = node.right if node.key < key else node.left
+        new = _Node(key, rank, weight, payload)
         # new takes cur's position; unzip cur's subtree around key
         lt = rt = None
         lt_tail = rt_tail = None
@@ -240,6 +264,9 @@ class _PrecedenceTree(_BST):
         self._n += 1
 
     def delete(self, key):
+        # insert rejects such a key when it hashes it; delete hashes nothing
+        if type(key) not in KEY_TYPES:
+            raise key_type_error(key)
         parent = None
         cur = self._root
         while cur is not None and cur.key != key:
@@ -255,6 +282,51 @@ class _PrecedenceTree(_BST):
         else:
             parent.right = merged
         self._n -= 1
+
+    def load_sorted(self, entries):
+        """Fill an empty tree from (key, weight, payload) entries in
+        strictly increasing key order, in O(n).
+
+        The result equals inserting the entries one by one.  On an error
+        (a non-empty tree, unsorted or duplicate keys, a bad key or
+        weight) the tree is left unchanged.
+        """
+        if self._n:
+            raise ValueError("load_sorted needs an empty tree")
+        nodes = []
+        for key, weight, payload in entries:
+            rank = self._rank(key, weight)
+            if nodes:
+                last = nodes[-1].key
+                if key == last:
+                    raise DuplicateKeyError(key)
+                if key < last:
+                    raise ValueError("entries out of key order: %r after %r" % (key, last))
+            nodes.append(_Node(key, rank, weight, payload))
+        self._link_sorted(nodes)
+
+    def _link_sorted(self, nodes):
+        """Make ``nodes``, in increasing key order, the whole tree.
+
+        The stack construction of a Cartesian tree (Gabow, Bentley and
+        Tarjan, STOC 1984): the stack holds the right spine; a new node
+        takes the nodes it outranks as its left subtree and becomes the
+        right child of the stack top.  Each node is pushed and popped once.
+        """
+        stack = []
+        for node in nodes:
+            rank = node.rank
+            below = None
+            # the top has the smaller key, so it wins a rank tie (_wins)
+            while stack and stack[-1].rank < rank:
+                below = stack.pop()
+            node.left = below
+            node.right = None
+            if stack:
+                stack[-1].right = node
+            stack.append(node)
+        self._root = stack[0] if stack else None
+        self._n = len(nodes)
 
     def _zip(self, a, b):
         # merge two trees with all keys of a below all keys of b

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .core import CapacityError
-from .structures import ZipZipTree, _PrecedenceTree
+from .structures import ZipZipTree, _PrecedenceTree, zz_rerank
 
 
 def threshold(f: float, capacity: int) -> float:
@@ -103,13 +103,20 @@ class ThresholdedDict(ZipZipTree):
         return CutoffState(self.n, self.N)
 
     def rebuild(self, N: int):
-        """Rebuild from scratch in key order, re-thresholded at cutoff N."""
+        """Re-threshold every key at cutoff N and relink the tree in O(n).
+
+        The tree's own nodes are relinked in key order with their ranks
+        moved to the new weights, so a rebuild hashes no key and allocates
+        no node; the result equals a fresh build at N.
+        """
         self.policy.N = N
-        items = self.items()
-        self._root = None
-        self._n = 0
-        for key, payload in items:
-            _PrecedenceTree.insert(self, key, threshold(self._freqs[key], N), payload)
+        nodes = list(self._inorder())
+        freqs = self._freqs
+        for node in nodes:
+            weight = threshold(freqs[node.key], N)
+            node.rank = zz_rerank(node.rank, node.weight, weight)
+            node.weight = weight
+        self._link_sorted(nodes)
 
     def insert(self, key, f: float = 0.0, payload: Optional[bytes] = None):
         # threshold() validates f, and the tree the key, before the policy
@@ -131,6 +138,11 @@ class ThresholdedDict(ZipZipTree):
         del self._freqs[key]
         if self.policy.delete():
             self.rebuild(self.N)
+
+    def load_sorted(self, entries):
+        # stored weights and rebuilds follow the cutoff policy, which
+        # counts (and, when dynamic, draws) per insert
+        raise TypeError("a thresholded dict is filled by insert, not load_sorted")
 
     def raw_frequency(self, key) -> float:
         return self._freqs[key]

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 from scipy import stats
 
+import hidict.structures
 from hidict.core import DuplicateKeyError, MissingKeyError
 from hidict.dynamics import (
     AMORTIZED_INITIAL_CUTOFF,
@@ -19,6 +20,8 @@ from hidict.dynamics import (
     whi_after_delete,
     whi_before_insert,
 )
+from hidict.structures import ZipZipTree
+from hidict.thresholding import threshold
 
 
 # ------------------------------------------------------- amortized scheme
@@ -194,6 +197,41 @@ def test_rebuild_rethresholds_weights():
     d.rebuild(16)
     weights = {n.key: n.weight for n in _nodes(d)}
     assert weights[1] == 1.0 / 32  # max(0, 1/(2*16))
+
+
+def test_rebuild_equals_fresh_sorted_build(monkeypatch):
+    # 1/(2N) crosses powers of two between neighbouring N, so the floor
+    # weight's rank level moves up and down across the sequence
+    cutoffs = [1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65, 1023, 1024, 1025, 5, 300, 2]
+    calls = []
+    real_oracle = hidict.structures.oracle_value
+
+    def counting_oracle(*args):
+        calls.append(args)
+        return real_oracle(*args)
+
+    rng = random.Random(31)
+    for case in range(12):
+        d = DynamicThresholdDict(case, scheme="whi", scheme_seed=case)
+        freqs = {}
+        for k in rng.sample(range(1, 5000), rng.randint(0, 150)):
+            freqs[k] = rng.choice([0.0, 1e-9, 1e-4, 0.05, rng.random(), 1.0])
+            d.insert(k, freqs[k], rng.choice([None, b"p%d" % k]))
+        payloads = dict(d.items())
+        for N in cutoffs:
+            nodes = list(d._inorder())
+            monkeypatch.setattr(hidict.structures, "oracle_value", counting_oracle)
+            d.rebuild(N)
+            monkeypatch.undo()
+            assert calls == []
+            # relinked in place: the same node objects, none allocated
+            assert all(a is b for a, b in zip(nodes, d._inorder()))
+            ref = ZipZipTree(case)
+            for k in sorted(freqs):
+                ref.insert(k, threshold(freqs[k], N), payloads[k])
+            assert d.fingerprint() == d.policy.header() + ref.fingerprint()
+            assert d.N == N and len(d) == len(freqs)
+            d.check_invariants()
 
 
 def test_post_rebuild_weight_sum():

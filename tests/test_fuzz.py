@@ -1,0 +1,111 @@
+"""Model-based fuzzing of the dictionary contract.
+
+A hypothesis state machine drives every history-independent dictionary
+through one random sequence of inserts, deletes and queries (payloads
+included) and checks each reply against a plain dict.  After every step,
+each structure's fingerprint must equal that of a fresh build of the
+model's contents in sorted order; for the dynamic dicts the fresh build
+is then rebuilt at the same cutoff N.  That is unique representation,
+checked on the real structures.
+"""
+
+import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+
+from hidict.core import DuplicateKeyError, MissingKeyError
+from hidict.dynamics import DynamicThresholdDict
+from hidict.pairing import PairedDict
+from hidict.structures import ZipZipTree
+from hidict.thresholding import ThresholdedDict
+
+SEED = 41
+CAPACITY = 64
+KEYS = st.integers(1, 40)
+FREQS = st.sampled_from([1e-9, 0.01, 0.125, 0.3, 1.0])
+PAYLOADS = st.none() | st.binary(max_size=3)
+
+
+def _fresh(name, entries, N):
+    """A fresh build of sorted (key, f, payload) entries."""
+    if name == "zipzip":
+        t = ZipZipTree(SEED)
+        t.load_sorted(entries)
+        return t
+    if name == "threshold":
+        t = ThresholdedDict(SEED, CAPACITY)
+    elif name == "paired":
+        t = PairedDict(SEED)
+    else:
+        t = DynamicThresholdDict(SEED, scheme=name.split("-")[1])
+    for entry in entries:
+        t.insert(*entry)
+    if N is not None:
+        t.rebuild(N)
+    return t
+
+
+class DictionaryContract(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.model = {}
+        self.structs = {
+            "zipzip": ZipZipTree(SEED),
+            "threshold": ThresholdedDict(SEED, CAPACITY),
+            "dynamic-whi": DynamicThresholdDict(SEED, scheme="whi", scheme_seed=5),
+            "dynamic-amortized": DynamicThresholdDict(SEED, scheme="amortized"),
+            "paired": PairedDict(SEED),
+        }
+
+    @rule(key=KEYS, f=FREQS, payload=PAYLOADS)
+    def insert(self, key, f, payload):
+        for s in self.structs.values():
+            if key in self.model:
+                with pytest.raises(DuplicateKeyError):
+                    s.insert(key, f, payload)
+            else:
+                s.insert(key, f, payload)
+        self.model.setdefault(key, (f, payload))
+
+    @rule(key=KEYS)
+    def delete(self, key):
+        for s in self.structs.values():
+            if key in self.model:
+                s.delete(key)
+            else:
+                with pytest.raises(MissingKeyError):
+                    s.delete(key)
+        self.model.pop(key, None)
+
+    @rule(key=KEYS)
+    def search(self, key):
+        expected = self.model.get(key)
+        for s in self.structs.values():
+            res = s.search(key)
+            assert res.found == (expected is not None)
+            assert res.payload == (expected[1] if expected else None)
+
+    @rule(key=KEYS)
+    def predecessor(self, key):
+        expected = max((k for k in self.model if k < key), default=None)
+        for s in self.structs.values():
+            assert s.predecessor(key) == expected
+
+    @rule(a=KEYS, b=KEYS)
+    def range_query(self, a, b):
+        lo, hi = min(a, b), max(a, b)
+        expected = sorted(k for k in self.model if lo <= k <= hi)
+        for s in self.structs.values():
+            assert s.range_query(lo, hi) == expected
+
+    @invariant()
+    def equals_fresh_sorted_build(self):
+        entries = [(k, f, p) for k, (f, p) in sorted(self.model.items())]
+        for name, s in self.structs.items():
+            assert s.keys() == [k for k, _, _ in entries]
+            N = s.N if name.startswith("dynamic") else None
+            assert s.fingerprint() == _fresh(name, entries, N).fingerprint(), name
+
+
+DictionaryContract.TestCase.settings = settings(max_examples=100, stateful_step_count=50)
+test_dictionary_contract = DictionaryContract.TestCase

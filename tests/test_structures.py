@@ -22,7 +22,7 @@ from hidict.structures import (
 )
 from hidict.dynamics import DynamicThresholdDict
 from hidict.pairing import PairedDict
-from hidict.thresholding import ThresholdedDict
+from hidict.thresholding import ThresholdedDict, threshold
 from hidict.workloads import zipf_frequencies
 
 
@@ -292,6 +292,113 @@ def test_avl_delete():
         t.insert(2)
 
 
+# ------------------------------------------------------------ bulk load
+
+def _random_entries(rng, n):
+    keys = sorted(rng.sample(range(1, 10 * n + 1), n))
+    return [(k, rng.choice([1e-6, 0.01, 0.3, 1.0, rng.random() + 1e-3]),
+             rng.choice([None, b"p%d" % k])) for k in keys]
+
+
+@pytest.mark.parametrize("cls", [ZipZipTree, LTreap, CTreap])
+def test_load_sorted_equals_insert_build(cls):
+    rng = random.Random(17)
+    for n in (0, 1, 2, 5, 40, 300):
+        entries = _random_entries(rng, n)
+        built = cls(n)
+        shuffled = list(entries)
+        rng.shuffle(shuffled)
+        for entry in shuffled:
+            built.insert(*entry)
+        loaded = cls(n)
+        loaded.load_sorted(iter(entries))
+        assert loaded.fingerprint() == built.fingerprint()
+        assert len(loaded) == n
+        loaded.check_invariants()
+        # the loaded tree takes updates like any other
+        if n:
+            loaded.delete(entries[0][0])
+            built.delete(entries[0][0])
+            assert loaded.fingerprint() == built.fingerprint()
+
+
+@pytest.mark.parametrize("cls", [ZipZipTree, LTreap, CTreap])
+def test_load_sorted_rejects_bad_entries_and_changes_nothing(cls):
+    cases = [
+        ([(1, 0.5, None), (3, 0.5, None), (2, 0.5, None)], ValueError),
+        ([(1, 0.5, None), (2, 0.5, None), (2, 0.25, b"x")], DuplicateKeyError),
+        ([(1, 0.5, None), (2.0, 0.5, None)], TypeError),
+    ]
+    for entries, error in cases:
+        t = cls(4)
+        with pytest.raises(error):
+            t.load_sorted(entries)
+        assert len(t) == 0 and t.fingerprint() == cls(4).fingerprint()
+    t = cls(4)
+    t.insert(7, 0.5)
+    before = t.fingerprint()
+    with pytest.raises(ValueError):
+        t.load_sorted([(1, 0.5, None)])
+    assert len(t) == 1 and t.fingerprint() == before
+
+
+def test_thresholded_dict_rejects_load_sorted():
+    # its weights and rebuilds follow the cutoff policy, which counts inserts
+    for d in (ThresholdedDict(4, 8), DynamicThresholdDict(4, scheme="whi")):
+        with pytest.raises(TypeError):
+            d.load_sorted([(1, 0.5, None)])
+        assert len(d) == 0 and d.policy.n == 0
+
+
+# ----------------------------------------------------- duplicate inserts
+
+def _search_path(t, key):
+    path, cur = [], t._root
+    while cur is not None:
+        path.append(cur)
+        if cur.key == key:
+            return path
+        cur = cur.left if key < cur.key else cur.right
+    raise AssertionError("key %r not in tree" % (key,))
+
+
+@pytest.mark.parametrize("make", [lambda: ThresholdedDict(9, 1024),
+                                  lambda: DynamicThresholdDict(9, scheme="whi", scheme_seed=2)])
+@pytest.mark.parametrize("where", ["above", "below"])
+def test_duplicate_insert_leaves_no_trace(make, where):
+    # "above": the re-insert at a larger f outranks the present node's
+    # parent, so it would enter above the node and find it only while
+    # unzipping.  "below": at a smaller f it would enter below the node,
+    # which the descent reaches first.
+    d = make()
+    old_f, new_f = (0.0, 1.0) if where == "above" else (1.0, 0.0)
+    for k in range(1, 200):
+        d.insert(k, old_f, b"v%d" % k)
+
+    def rank_at(key, f):
+        return d._rank(key, threshold(f, d.N))
+
+    def enters_above(key):
+        path = _search_path(d, key)
+        return len(path) > 1 and d._wins(rank_at(key, new_f), key, path[-2].rank, path[-2].key)
+
+    if where == "above":
+        key = next(k for k in range(1, 200) if enters_above(k))
+    else:
+        key = 100
+        assert rank_at(key, new_f) < _search_path(d, key)[-1].rank
+
+    def state():
+        rng = d.policy.rng.getstate() if hasattr(d.policy, "rng") else None
+        return d.fingerprint(), len(d), dict(d._freqs), (d.policy.n, d.N), rng
+
+    before = state()
+    with pytest.raises(DuplicateKeyError):
+        d.insert(key, new_f)
+    assert state() == before
+    d.check_invariants()
+
+
 def test_node_count_tracks_updates():
     for cls in (ZipZipTree, AVLTree, LTreap, CTreap):
         t = cls(0)
@@ -359,4 +466,7 @@ def test_unsupported_key_types_rejected_before_any_change(name):
     for bad in (1.0, True, np.int64(1)):
         with pytest.raises(TypeError):
             s.insert(bad, 0.25)
+        assert state() == before
+        with pytest.raises(TypeError):
+            s.delete(bad)
         assert state() == before
