@@ -22,13 +22,10 @@ from .thresholding import ThresholdedDict, threshold, threshold_array
 from .pairing import PairedDict, GAMMA_EXPECTED_DEPTH, GAMMA_HEIGHT
 from .dynamics import (
     CutoffSimulator,
-    CutoffState,
     DynamicThresholdDict,
-    RebuildDecision,
     amortized_after_delete,
     amortized_after_insert,
     counterexample_structures,
-    counterexample_trace,
     whi_after_delete,
     whi_before_insert,
 )
@@ -36,11 +33,11 @@ from .hiverify import HiReport, shi_check, whi_check
 
 __all__ = [
     "AVLTree", "CTreap", "CapacityError", "ComparisonTally", "CutoffSimulator",
-    "CutoffState", "DuplicateKeyError", "DynamicThresholdDict",
+    "DuplicateKeyError", "DynamicThresholdDict",
     "GAMMA_EXPECTED_DEPTH", "GAMMA_HEIGHT", "HiReport", "LTreap",
-    "MissingKeyError", "PairedDict", "RebuildDecision", "SearchResult",
+    "MissingKeyError", "PairedDict", "SearchResult",
     "ThresholdedDict", "ZipZipTree", "amortized_after_delete",
-    "amortized_after_insert", "counterexample_structures", "counterexample_trace",
+    "amortized_after_insert", "counterexample_structures",
     "derive_seed", "geometric_from_bits", "oracle_uniform",
     "oracle_value", "shi_check", "threshold", "threshold_array",
     "whi_after_delete", "whi_before_insert", "whi_check",

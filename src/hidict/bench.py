@@ -129,7 +129,7 @@ def _sweep(test: str, structures: Sequence[str], specs: Sequence[WorkloadSpec],
     return rows
 
 
-def run_zipf_param(structures: Sequence[str], alphas: Sequence[float],
+def run_zipf_param(structures: Sequence[str], alphas: Sequence[float] = (1.0, 2.0, 3.0),
                    n: int = 2000, queries: int = 100_000, trials: int = 10,
                    master_seed: int = 0, gamma: float = 1.0) -> List[BenchRow]:
     """Vary alpha under perfect estimates (delta = 0) at fixed n."""

@@ -24,11 +24,21 @@ from .thresholding import ThresholdedDict
 
 
 def _int_list(text):
-    return [int(x) for x in text.split(",") if x]
+    return _nonempty([int(x) for x in text.split(",") if x])
 
 
 def _float_list(text):
-    return [float(x) for x in text.split(",") if x]
+    return _nonempty([float(x) for x in text.split(",") if x])
+
+
+def _nonempty(values):
+    if not values:
+        raise argparse.ArgumentTypeError("empty list")
+    return values
+
+
+def _one_float(text):
+    return [float(text)]
 
 
 def _structures(text):
@@ -42,17 +52,44 @@ def _structures(text):
     return names
 
 
-def _add_common(p):
-    p.add_argument("--n", type=int, default=2000)
-    p.add_argument("--n-list", type=_int_list, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--alpha-list", type=_float_list, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=1.0,
+# flag -> argparse options; the dest is the bench runner's keyword
+_BENCH_FLAGS = {
+    "--n": dict(type=int),
+    "--n-list": dict(dest="n_values", type=_int_list, metavar="N_LIST"),
+    "--alpha": dict(type=float),
+    "--delta": dict(type=float),
+    "--queries": dict(type=int),
+    "--trials": dict(type=int),
+}
+
+# bench test -> (runner, the flags of _BENCH_FLAGS it reads)
+_BENCH_TESTS = {
+    "zipf-param": (bench.run_zipf_param, ("--n", "--queries", "--trials")),
+    "noisy-zipf": (bench.run_noisy_zipf,
+                   ("--n-list", "--alpha", "--delta", "--queries", "--trials")),
+    "inverse-power": (bench.run_inverse_power,
+                      ("--n-list", "--alpha", "--delta", "--queries", "--trials")),
+    "size": (bench.run_size, ("--n-list", "--alpha")),
+}
+
+# bench options that are not runner keywords
+_BENCH_OUTPUTS = ("command", "test", "structures", "csv", "svg")
+
+
+def _add_bench(p, test):
+    """Register the flags that ``test``'s runner reads.  A flag left out
+    is absent from the namespace, so the runner applies its own default."""
+    if test == "zipf-param":
+        # the sweep varies alpha; --alpha runs one value
+        alphas = p.add_mutually_exclusive_group()
+        alphas.add_argument("--alpha-list", dest="alphas", type=_float_list,
+                            metavar="ALPHA_LIST")
+        alphas.add_argument("--alpha", dest="alphas", type=_one_float, metavar="ALPHA")
+    for flag in _BENCH_TESTS[test][1]:
+        p.add_argument(flag, **_BENCH_FLAGS[flag])
+    p.add_argument("--gamma", type=float,
                    help="paired search budget coefficient (presets: 1.3863, 3.82)")
-    p.add_argument("--queries", type=int, default=100_000)
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", dest="master_seed", type=int, metavar="SEED")
     p.add_argument("--structures", type=_structures,
                    default=list(bench.STRUCTURE_NAMES))
     p.add_argument("--csv", default=None, metavar="PATH")
@@ -65,8 +102,10 @@ def build_parser():
 
     b = sub.add_parser("bench", help="comparison-count benchmarks")
     bsub = b.add_subparsers(dest="test", required=True)
-    for name in ("zipf-param", "noisy-zipf", "inverse-power", "size"):
-        _add_common(bsub.add_parser(name))
+    for test in _BENCH_TESTS:
+        # no abbreviations: --n would silently mean --n-list
+        _add_bench(bsub.add_parser(test, argument_default=argparse.SUPPRESS,
+                                   allow_abbrev=False), test)
 
     v = sub.add_parser("verify", help="history-independence verification")
     vsub = v.add_subparsers(dest="mode", required=True)
@@ -101,28 +140,9 @@ def _emit(rows, args):
 
 
 def _cmd_bench(args):
-    if args.test == "zipf-param":
-        alphas = args.alpha_list or ([args.alpha] if args.alpha is not None else [1.0, 2.0, 3.0])
-        rows = bench.run_zipf_param(args.structures, alphas, n=args.n,
-                                    queries=args.queries, trials=args.trials,
-                                    master_seed=args.seed, gamma=args.gamma)
-    elif args.test == "noisy-zipf":
-        rows = bench.run_noisy_zipf(
-            args.structures, args.n_list or bench.DEFAULT_N_LIST,
-            alpha=args.alpha if args.alpha is not None else 2.0,
-            delta=args.delta if args.delta is not None else 0.9,
-            queries=args.queries, trials=args.trials,
-            master_seed=args.seed, gamma=args.gamma)
-    elif args.test == "inverse-power":
-        rows = bench.run_inverse_power(
-            args.structures, args.n_list or bench.DEFAULT_N_LIST,
-            alpha=args.alpha if args.alpha is not None else 1.01,
-            delta=args.delta if args.delta is not None else 0.9,
-            queries=args.queries, trials=args.trials,
-            master_seed=args.seed, gamma=args.gamma)
-    else:
-        rows = bench.run_size(args.structures, args.n_list or bench.DEFAULT_N_LIST,
-                              master_seed=args.seed, gamma=args.gamma)
+    runner, _ = _BENCH_TESTS[args.test]
+    keywords = {k: v for k, v in vars(args).items() if k not in _BENCH_OUTPUTS}
+    rows = runner(args.structures, **keywords)
     _emit(rows, args)
     return 0
 

@@ -3,9 +3,9 @@
 Two cutoff-update schemes drive rebuilds:
 
 * the amortized scheme (square N on growth, fourth-root trigger on
-  shrink), which is *not* history independent -- ``counterexample_trace``
-  exhibits two operation sequences with equal contents but different
-  cutoffs; and
+  shrink), which is *not* history independent --
+  ``counterexample_structures`` builds two operation sequences with equal
+  contents but different cutoffs; and
 * the randomized weakly history independent scheme, under which the cutoff
   N conditioned on the current size n is uniform on {n, ..., 2n-1} no
   matter how the structure got there, with an O(1/n) per-operation rebuild
@@ -20,66 +20,54 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Optional
 
 from .core import MissingKeyError
-from .thresholding import CutoffState, ThresholdedDict
+from .thresholding import ThresholdedDict
 
 AMORTIZED_INITIAL_CUTOFF = 4
 WHI_INITIAL_CUTOFF = 1
 
-
-@dataclass
-class RebuildDecision:
-    rebuild: bool
-    new_N: Optional[int] = None
+# A cutoff rule maps the size n and cutoff N (and, for the WHI scheme,
+# uniform draws) to the new cutoff of a due rebuild, or to None.
 
 
-def amortized_after_insert(state: CutoffState) -> RebuildDecision:
-    if state.n == state.N:
-        return RebuildDecision(True, state.N * state.N)
-    return RebuildDecision(False)
+def amortized_after_insert(n: int, N: int) -> Optional[int]:
+    return N * N if n == N else None
 
 
-def amortized_after_delete(state: CutoffState) -> RebuildDecision:
-    if state.n == round(state.N ** 0.25):
-        return RebuildDecision(True, round(math.sqrt(state.N)))
-    return RebuildDecision(False)
+def amortized_after_delete(n: int, N: int) -> Optional[int]:
+    return round(math.sqrt(N)) if n == round(N ** 0.25) else None
 
 
-def whi_before_insert(state: CutoffState, u1: float, u2: float) -> RebuildDecision:
+def whi_before_insert(n: int, N: int, u1: float, u2: float) -> Optional[int]:
     """Randomized cutoff decision evaluated strictly before the insert.
 
     n == 0 is folded into the N == n branch: the admissible range
     {n+1, ..., 2(n+1)-1} degenerates to {1} and there is nothing to
     rebuild anyway.
     """
-    n, N = state.n, state.N
     if n == 0 or N == n:
         # uniform over {n+1, ..., 2(n+1)-1}, which has n+1 values
-        idx = min(int(u1 * (n + 1)), n)
-        return RebuildDecision(True, n + 1 + idx)
+        return n + 1 + min(int(u1 * (n + 1)), n)
     # two probability-1/(n+1) branches from disjoint sub-intervals of u2
     p = 1.0 / (n + 1)
     if u2 < p:
-        return RebuildDecision(True, 2 * n)
+        return 2 * n
     if u2 < 2 * p:
-        return RebuildDecision(True, 2 * n + 1)
-    return RebuildDecision(False)
+        return 2 * n + 1
+    return None
 
 
-def whi_after_delete(state: CutoffState, u: float) -> RebuildDecision:
+def whi_after_delete(n: int, N: int, u: float) -> Optional[int]:
     """Randomized cutoff decision evaluated after the delete (n >= 1)."""
-    n, N = state.n, state.N
     if n < 1:
         raise ValueError("whi_after_delete requires n >= 1; reset instead")
     if n <= N / 2:
-        idx = min(int(u * n), n - 1)
-        return RebuildDecision(True, n + idx)
+        return n + min(int(u * n), n - 1)
     if u < 1.0 / n:
-        return RebuildDecision(True, n)
-    return RebuildDecision(False)
+        return n
+    return None
 
 
 class CutoffSimulator:
@@ -107,26 +95,23 @@ class CutoffSimulator:
     def _initial(self) -> int:
         return AMORTIZED_INITIAL_CUTOFF if self.scheme == "amortized" else WHI_INITIAL_CUTOFF
 
-    @property
-    def cutoff(self) -> int:
-        return self.N
-
-    def _apply(self, decision: RebuildDecision) -> bool:
-        if decision.rebuild:
-            self.N = decision.new_N
-            self.rebuilds += 1
-            self.key_moves += self.n
-        return decision.rebuild
+    def _apply(self, new_N: Optional[int]) -> bool:
+        if new_N is None:
+            return False
+        self.N = new_N
+        self.rebuilds += 1
+        self.key_moves += self.n
+        return True
 
     def insert(self, key=None, f: float = 0.0) -> bool:
         self.operations += 1
         if self.scheme == "whi":
-            due = self._apply(whi_before_insert(CutoffState(self.n, self.N),
+            due = self._apply(whi_before_insert(self.n, self.N,
                                                 self.rng.random(), self.rng.random()))
             self.n += 1
             return due
         self.n += 1
-        return self._apply(amortized_after_insert(CutoffState(self.n, self.N)))
+        return self._apply(amortized_after_insert(self.n, self.N))
 
     def delete(self, key=None) -> bool:
         if self.n == 0:
@@ -137,9 +122,8 @@ class CutoffSimulator:
             self.N = self._initial()
             return False
         if self.scheme == "whi":
-            return self._apply(whi_after_delete(CutoffState(self.n, self.N),
-                                                self.rng.random()))
-        return self._apply(amortized_after_delete(CutoffState(self.n, self.N)))
+            return self._apply(whi_after_delete(self.n, self.N, self.rng.random()))
+        return self._apply(amortized_after_delete(self.n, self.N))
 
     def header(self) -> bytes:
         return b"dyn;scheme=%s;N=%d;" % (self.scheme.encode(), self.N)
@@ -149,9 +133,9 @@ class DynamicThresholdDict(ThresholdedDict):
     """``ThresholdedDict`` whose cutoff N follows a ``CutoffSimulator``.
 
     Every stored weight is max(f/2, 1/(2N)) for the current cutoff N; a
-    rebuild reconstructs the tree from scratch in sorted key order with
-    re-thresholded weights, so the fingerprint is a pure function of
-    (content set, structural seed, N).  Scheme draws come from
+    rebuild re-thresholds every key and relinks the tree's own nodes in
+    key order (``ThresholdedDict.rebuild``), so the fingerprint is a pure
+    function of (content set, structural seed, N).  Scheme draws come from
     ``random.Random(scheme_seed)``.
     """
 
@@ -159,19 +143,14 @@ class DynamicThresholdDict(ThresholdedDict):
         self._attach(seed, CutoffSimulator(scheme, random.Random(scheme_seed)))
 
 
-def counterexample_trace(seed: int = 0):
-    """The amortized scheme's distinguishing pair, from (n=0, N=4).
+def counterexample_structures(seed: int = 0):
+    """The amortized scheme's distinguishing pair, from (n=0, N=4), as live
+    amortized-scheme dicts.
 
     X inserts c = N - n = 4 keys and deletes the last; Y inserts c - 1
     keys.  Both end holding {1, 2, 3} but X's insertion crossed n == N,
-    squaring the cutoff.  Returns the two final CutoffStates.
+    squaring the cutoff.
     """
-    x, y = counterexample_structures(seed)
-    return x.state(), y.state()
-
-
-def counterexample_structures(seed: int = 0):
-    """Build both counterexample traces as live amortized-scheme dicts."""
     x = DynamicThresholdDict(seed, scheme="amortized")
     for k in (1, 2, 3, 4):
         x.insert(k, 0.0)

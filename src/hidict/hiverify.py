@@ -125,7 +125,7 @@ def whi_check(structure_factory: Callable[[int], object], target_n: int,
     """Weak-HI distributional check over the cutoff marginal.
 
     ``structure_factory(scheme_seed)`` builds an empty structure exposing
-    ``insert``/``delete`` and a ``cutoff`` attribute; each strategy drives
+    ``insert``/``delete`` and the cutoff ``N``; each strategy drives
     it from empty to the same target content set.  Reports the maximum
     pairwise TV distance between the strategies' empirical N distributions.
     """
@@ -137,7 +137,7 @@ def whi_check(structure_factory: Callable[[int], object], target_n: int,
         for i in range(samples):
             obj = structure_factory(seed * 1_000_003 + s_idx * samples + i)
             strategy(obj)
-            counts[obj.cutoff] += 1
+            counts[obj.N] += 1
         distributions.append(counts)
     worst = 0.0
     for a, b in itertools.combinations(distributions, 2):

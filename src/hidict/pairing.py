@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .structures import SearchResult, ZipZipTree
+from .structures import SearchResult, ZipZipTree, _PrecedenceTree
 from .thresholding import ThresholdedDict
 
 # gamma presets from the zip-zip height / expected-depth constants
@@ -20,26 +20,32 @@ GAMMA_HEIGHT = 3.82
 GAMMA_EXPECTED_DEPTH = 1.3863
 
 
-class PairedDict:
+class PairedDict(ZipZipTree):
     """Tandem (learned, fallback) ordered dictionary.
 
-    With ``capacity`` set, the learned side is a threshold-wrapped biased
-    zip-zip tree; otherwise it is a plain biased zip-zip tree using the raw
-    frequency estimates as weights.  The fallback is always a uniform
-    zip-zip tree on separate oracle streams.
+    The dict is itself the fallback: a uniform zip-zip tree on separate
+    oracle streams, whose reads (``predecessor``, ``range_query``, ``keys``,
+    ``in``, ``len``) are the tree's own.  ``learned`` holds the same keys:
+    with ``capacity`` set, a threshold-wrapped biased zip-zip tree;
+    otherwise a plain biased zip-zip tree using the raw frequency estimates
+    as weights.  The fallback's own steps call the engine by class
+    (``_PrecedenceTree.insert(self, ...)``).
     """
 
+    kind = "zipzip+8"
+    _stream = 8
+
     def __init__(self, seed: int, gamma: float = 1.0, capacity: Optional[int] = None):
-        if gamma <= 0:
-            raise ValueError("gamma must be positive, got %r" % (gamma,))
-        self.seed = seed
+        # the comparisons also reject nan
+        if not 0 < gamma < math.inf:
+            raise ValueError("gamma must be positive and finite, got %r" % (gamma,))
+        super().__init__(seed)
         self.gamma = gamma
         self.capacity = capacity
         if capacity is not None:
             self.learned = ThresholdedDict(seed, capacity)
         else:
             self.learned = ZipZipTree(seed)
-        self.fallback = ZipZipTree(seed, stream_base=8)
 
     def insert(self, key, f: float, payload: Optional[bytes] = None):
         if f <= 0:
@@ -47,17 +53,21 @@ class PairedDict:
             raise ValueError("paired insert requires f > 0, got %r" % (f,))
         self.learned.insert(key, f, payload)
         try:
-            self.fallback.insert(key, 1.0, payload)
+            _PrecedenceTree.insert(self, key, 1.0, payload)
         except Exception:
             self.learned.delete(key)  # keep the tandem invariant on failure
             raise
 
     def delete(self, key):
         self.learned.delete(key)
-        self.fallback.delete(key)
+        _PrecedenceTree.delete(self, key)
+
+    def load_sorted(self, entries):
+        # the inherited load would fill the fallback side alone
+        raise TypeError("a paired dict is filled by insert, not load_sorted")
 
     def search_budget(self) -> int:
-        return max(1, math.floor(self.gamma * math.log2(max(len(self.fallback), 2))))
+        return max(1, math.floor(self.gamma * math.log2(max(self._n, 2))))
 
     def search(self, key) -> SearchResult:
         # an empty pair ends here too: the learned descent concludes at
@@ -70,32 +80,14 @@ class PairedDict:
             # descent concluded (key absent) within budget; the tandem
             # invariant makes the fallback search redundant
             return res
-        fb = self.fallback.search(key)
+        fb = _PrecedenceTree.search(self, key)
         return SearchResult(fb.found, res.comparisons + fb.comparisons, fb.payload)
-
-    def predecessor(self, key):
-        return self.fallback.predecessor(key)
-
-    def range_query(self, lo, hi, tally=None):
-        return self.fallback.range_query(lo, hi, tally)
-
-    def keys(self):
-        return self.fallback.keys()
-
-    def __iter__(self):
-        return iter(self.fallback)
-
-    def __contains__(self, key):
-        return key in self.fallback
-
-    def __len__(self):
-        return len(self.fallback)
 
     def node_count(self) -> int:
         # 2n structural nodes; payloads may be shared but nodes are not
-        return self.learned.node_count() + self.fallback.node_count()
+        return self.learned.node_count() + self._n
 
     def fingerprint(self) -> bytes:
         cap = -1 if self.capacity is None else self.capacity
         head = b"paired;gamma=%s;cap=%d;" % (repr(self.gamma).encode(), cap)
-        return head + self.learned.fingerprint() + b"|" + self.fallback.fingerprint()
+        return head + self.learned.fingerprint() + b"|" + _PrecedenceTree.fingerprint(self)

@@ -62,8 +62,8 @@ def zz_rank(seed: int, key, weight: float, stream: int = 0):
     which is what yields O(log W/w) retrieval depth.  The two draws use
     oracle streams ``stream`` and ``stream + 1``.
     """
-    if weight <= 0:
-        raise ValueError("weight must be positive, got %r" % (weight,))
+    if not 0 < weight < math.inf:
+        raise ValueError("weight must be positive and finite, got %r" % (weight,))
     r1 = _weight_level(weight) + geometric_from_bits(oracle_value(seed, key, stream))
     r2 = oracle_value(seed, key, stream + 1) & 0xFFFFFFFF
     return (r1, r2)
@@ -79,6 +79,17 @@ def zz_rerank(rank, old_weight: float, new_weight: float):
     ``old_weight``: the geometric draw and the tie-breaker do not depend on
     the weight, so no oracle call is needed."""
     return (rank[0] - _weight_level(old_weight) + _weight_level(new_weight), rank[1])
+
+
+def _wins(rank_a, key_a, rank_b, key_b):
+    """Whether node a sits above node b in a precedence tree: the higher
+    rank wins, and a rank tie goes to the smaller key so the shape stays a
+    pure function of the content set.  Not a method: a paired dict and its
+    learned side are of two classes, so a load on ``self`` in the engine's
+    loops would miss CPython's attribute cache at every switch."""
+    if rank_a != rank_b:
+        return rank_a > rank_b
+    return key_a < key_b
 
 
 class _BST:
@@ -201,14 +212,6 @@ class _PrecedenceTree(_BST):
     def _rank(self, key, weight):
         raise NotImplementedError
 
-    @staticmethod
-    def _wins(rank_a, key_a, rank_b, key_b):
-        # higher rank wins; rank ties go to the smaller key so the shape
-        # stays a pure function of the content set
-        if rank_a != rank_b:
-            return rank_a > rank_b
-        return key_a < key_b
-
     def insert(self, key, weight: float = 1.0, payload: Optional[bytes] = None):
         # the rank comes first: it rejects an unsupported key type even
         # when the key equals a present one (1.0 == 1)
@@ -218,7 +221,7 @@ class _PrecedenceTree(_BST):
         while cur is not None:
             if key == cur.key:
                 raise DuplicateKeyError(key)
-            if self._wins(rank, key, cur.rank, cur.key):
+            if _wins(rank, key, cur.rank, cur.key):
                 break
             parent = cur
             cur = cur.left if key < cur.key else cur.right
@@ -338,7 +341,7 @@ class _PrecedenceTree(_BST):
         attach_node = None
         attach_right = True
         while a is not None and b is not None:
-            if self._wins(a.rank, a.key, b.rank, b.key):
+            if _wins(a.rank, a.key, b.rank, b.key):
                 winner, a, side_right = a, a.right, True
             else:
                 winner, b, side_right = b, b.left, False
@@ -405,7 +408,7 @@ class _PrecedenceTree(_BST):
                 assert node.key < hi
             for child in (node.left, node.right):
                 if child is not None:
-                    assert self._wins(node.rank, node.key, child.rank, child.key)
+                    assert _wins(node.rank, node.key, child.rank, child.key)
             stack.append((node.left, lo, node.key))
             stack.append((node.right, node.key, hi))
 
@@ -413,21 +416,16 @@ class _PrecedenceTree(_BST):
 class ZipZipTree(_PrecedenceTree):
     """Zip-zip tree; uniform when every insert uses weight 1, biased otherwise.
 
-    ``stream_base`` offsets the oracle streams so that two trees over the
-    same keys and seed (as in the paired construction) get independent
-    rank draws.
+    ``_stream`` is the first oracle stream of the rank draws; a subclass
+    that moves it (the paired dict's fallback side) gets rank draws
+    independent of a tree over the same keys and seed.
     """
 
     kind = "zipzip"
-
-    def __init__(self, seed: int, stream_base: int = 0):
-        super().__init__(seed)
-        self._stream_base = stream_base
-        if stream_base:
-            self.kind = "zipzip+%d" % stream_base
+    _stream = 0
 
     def _rank(self, key, weight):
-        return zz_rank(self.seed, key, weight, self._stream_base)
+        return zz_rank(self.seed, key, weight, self._stream)
 
 
 class LTreap(_PrecedenceTree):
@@ -441,6 +439,10 @@ class LTreap(_PrecedenceTree):
     kind = "l-treap"
 
     def _rank(self, key, f):
+        # 0 and negative estimates are valid priorities; a non-finite one
+        # would tie or fail to compare
+        if not math.isfinite(f):
+            raise ValueError("L-treap requires a finite frequency estimate, got %r" % (f,))
         return (f, oracle_value(self.seed, key, 2))
 
 
@@ -450,8 +452,9 @@ class CTreap(_PrecedenceTree):
     kind = "c-treap"
 
     def _rank(self, key, f):
-        if f <= 0:
-            raise ValueError("C-treap requires a positive frequency estimate")
+        if not 0 < f < math.inf:
+            raise ValueError("C-treap requires a positive finite frequency estimate, got %r"
+                             % (f,))
         u = oracle_uniform(self.seed, key, 3)
         # log of u**(1/f); monotone transform, avoids underflow for tiny f
         return (math.log(u) / f,)

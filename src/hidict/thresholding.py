@@ -8,7 +8,6 @@ O(log capacity) by an adversarial estimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -34,12 +33,6 @@ def threshold_array(f: np.ndarray, capacity: int) -> np.ndarray:
     if f.size and (f.min() < 0.0 or f.max() > 1.0):
         raise ValueError("frequencies must be in [0, 1]")
     return np.maximum(f / 2.0, 1.0 / (2.0 * capacity))
-
-
-@dataclass
-class CutoffState:
-    n: int
-    N: int
 
 
 class FixedCutoff:
@@ -93,14 +86,9 @@ class ThresholdedDict(ZipZipTree):
     def N(self) -> int:
         return self.policy.N
 
-    capacity = cutoff = N  # the names callers use for the cutoff
-
     @property
     def n(self) -> int:
         return self._n
-
-    def state(self) -> CutoffState:
-        return CutoffState(self.n, self.N)
 
     def rebuild(self, N: int):
         """Re-threshold every key at cutoff N and relink the tree in O(n).

@@ -1,6 +1,11 @@
+import shlex
+from pathlib import Path
+
 import pytest
 
-from hidict.cli import main
+from hidict.cli import build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_usage_errors_exit_2(capsys):
@@ -13,6 +18,49 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as e:
         main(["bench", "zipf-param", "--structures", "splay"])
     assert e.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    "bench noisy-zipf --n 64",
+    "bench size --alpha-list 3",
+    "bench size --trials 99",
+    "bench size --queries 10",
+    "bench size --delta 0.5",
+    "bench zipf-param --n-list 16,32",
+    "bench zipf-param --delta 0.9",
+    "bench zipf-param --alpha 2 --alpha-list 1,2",
+    "bench inverse-power --alpha-list 1,2",
+    "bench inverse-power --n-list ,",
+])
+def test_unused_bench_flags_exit_2(argv, capsys):
+    # a flag its runner does not read, an abbreviated flag and an empty
+    # list are usage errors, not ignored
+    with pytest.raises(SystemExit) as e:
+        main(argv.split())
+    assert e.value.code == 2
+
+
+def test_bench_flags_reach_the_runner(capsys):
+    assert main(["bench", "size", "--n-list", "16", "--alpha", "3",
+                 "--structures", "avl"]) == 0
+    assert "size avl n=16 alpha=3 " in capsys.readouterr().out
+    assert main(["bench", "zipf-param", "--alpha", "2", "--n", "16", "--queries", "50",
+                 "--trials", "1", "--structures", "avl"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1 and out[0].startswith("zipf-param avl n=16 alpha=2 ")
+
+
+def _readme_commands():
+    block = README.read_text().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("hidict ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 7
+    parser = build_parser()
+    for line in commands:
+        parser.parse_args(shlex.split(line)[1:])
 
 
 def test_runtime_error_exits_1(tmp_path, capsys):

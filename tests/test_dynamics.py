@@ -10,13 +10,11 @@ from hidict.core import DuplicateKeyError, MissingKeyError
 from hidict.dynamics import (
     AMORTIZED_INITIAL_CUTOFF,
     CutoffSimulator,
-    CutoffState,
     DynamicThresholdDict,
     WHI_INITIAL_CUTOFF,
     amortized_after_delete,
     amortized_after_insert,
     counterexample_structures,
-    counterexample_trace,
     whi_after_delete,
     whi_before_insert,
 )
@@ -32,8 +30,8 @@ from hidict.thresholding import threshold
     (16, 16, True, 256),
 ])
 def test_amortized_after_insert(n, N, rebuild, new):
-    d = amortized_after_insert(CutoffState(n, N))
-    assert (d.rebuild, d.new_N) == (rebuild, new)
+    new_N = amortized_after_insert(n, N)
+    assert (new_N is not None, new_N) == (rebuild, new)
 
 
 @pytest.mark.parametrize("n,N,rebuild,new", [
@@ -42,14 +40,14 @@ def test_amortized_after_insert(n, N, rebuild, new):
     (4, 256, True, 16),
 ])
 def test_amortized_after_delete(n, N, rebuild, new):
-    d = amortized_after_delete(CutoffState(n, N))
-    assert (d.rebuild, d.new_N) == (rebuild, new)
+    new_N = amortized_after_delete(n, N)
+    assert (new_N is not None, new_N) == (rebuild, new)
 
 
 def test_counterexample_trace():
-    sx, sy = counterexample_trace()
-    assert (sx.n, sx.N) == (3, 16)
-    assert (sy.n, sy.N) == (3, 4)
+    x, y = counterexample_structures()
+    assert (x.n, x.N) == (3, 16)
+    assert (y.n, y.N) == (3, 4)
 
 
 def test_counterexample_contents_equal_but_fingerprints_differ():
@@ -80,9 +78,9 @@ def test_whi_insert_at_cutoff_uniform_range():
     rng = random.Random(1)
     counts = Counter()
     for _ in range(100_000):
-        d = whi_before_insert(CutoffState(8, 8), rng.random(), rng.random())
-        assert d.rebuild and 9 <= d.new_N <= 17
-        counts[d.new_N] += 1
+        new_N = whi_before_insert(8, 8, rng.random(), rng.random())
+        assert 9 <= new_N <= 17
+        counts[new_N] += 1
     # chi-square against uniform over the 9 admissible values
     _, p = stats.chisquare(list(counts[v] for v in range(9, 18)))
     assert p > 0.001
@@ -92,8 +90,7 @@ def test_whi_insert_below_cutoff_probabilities():
     rng = random.Random(2)
     counts = Counter()
     for _ in range(90_000):
-        d = whi_before_insert(CutoffState(8, 12), rng.random(), rng.random())
-        counts[d.new_N if d.rebuild else None] += 1
+        counts[whi_before_insert(8, 12, rng.random(), rng.random())] += 1
     assert counts[16] / 90_000 == pytest.approx(1 / 9, abs=0.01)
     assert counts[17] / 90_000 == pytest.approx(1 / 9, abs=0.01)
     assert counts[None] / 90_000 == pytest.approx(7 / 9, abs=0.01)
@@ -101,17 +98,16 @@ def test_whi_insert_below_cutoff_probabilities():
 
 def test_whi_first_insert_degenerate_range():
     for u in (0.0, 0.5, 0.999):
-        d = whi_before_insert(CutoffState(0, WHI_INITIAL_CUTOFF), u, u)
-        assert d.rebuild and d.new_N == 1
+        assert whi_before_insert(0, WHI_INITIAL_CUTOFF, u, u) == 1
 
 
 def test_whi_delete_resize_branch():
     rng = random.Random(3)
     counts = Counter()
     for _ in range(40_000):
-        d = whi_after_delete(CutoffState(4, 10), rng.random())
-        assert d.rebuild and 4 <= d.new_N <= 7
-        counts[d.new_N] += 1
+        new_N = whi_after_delete(4, 10, rng.random())
+        assert 4 <= new_N <= 7
+        counts[new_N] += 1
     _, p = stats.chisquare([counts[v] for v in range(4, 8)])
     assert p > 0.001
 
@@ -119,19 +115,17 @@ def test_whi_delete_resize_branch():
 def test_whi_delete_probabilistic_branch():
     rng = random.Random(4)
     hits = sum(
-        whi_after_delete(CutoffState(6, 10), rng.random()).rebuild
+        whi_after_delete(6, 10, rng.random()) is not None
         for _ in range(60_000)
     )
     assert hits / 60_000 == pytest.approx(1 / 6, abs=0.01)
-    d = whi_after_delete(CutoffState(6, 10), 0.0)
-    assert d.new_N == 6
+    assert whi_after_delete(6, 10, 0.0) == 6
 
 
 def test_whi_delete_degenerate():
-    d = whi_after_delete(CutoffState(1, 2), 0.9)
-    assert d.rebuild and d.new_N == 1
+    assert whi_after_delete(1, 2, 0.9) == 1
     with pytest.raises(ValueError):
-        whi_after_delete(CutoffState(0, 2), 0.5)
+        whi_after_delete(0, 2, 0.5)
 
 
 def test_whi_range_invariant_over_random_traces():

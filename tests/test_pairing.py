@@ -5,6 +5,7 @@ import pytest
 
 from hidict.core import ComparisonTally, DuplicateKeyError, MissingKeyError
 from hidict.pairing import GAMMA_EXPECTED_DEPTH, GAMMA_HEIGHT, PairedDict
+from hidict.structures import _PrecedenceTree
 
 
 def build(seed, entries, gamma=1.0, capacity=None):
@@ -18,7 +19,7 @@ def test_insert_into_empty():
     d = PairedDict(0)
     d.insert(5, 0.5)
     assert d.learned.keys() == [5]
-    assert d.fallback.keys() == [5]
+    assert d.keys() == [5]
     assert d.node_count() == 2
 
 
@@ -46,12 +47,12 @@ def test_tandem_invariant_and_atomicity():
     d = build(1, [(k, 0.01) for k in range(1, 33)])
     with pytest.raises(DuplicateKeyError):
         d.insert(7, 0.01)
-    assert d.learned.keys() == d.fallback.keys()
+    assert d.learned.keys() == d.keys()
     with pytest.raises(MissingKeyError):
         d.delete(99)
-    assert d.learned.keys() == d.fallback.keys()
+    assert d.learned.keys() == d.keys()
     d.delete(10)
-    assert d.learned.keys() == d.fallback.keys() == [k for k in range(1, 33) if k != 10]
+    assert d.learned.keys() == d.keys() == [k for k in range(1, 33) if k != 10]
 
 
 def test_budget_formula():
@@ -75,7 +76,7 @@ def test_search_tally_matches_tentative_then_fallback():
         if learned.comparisons <= budget:
             assert res.comparisons == learned.comparisons
         else:
-            assert res.comparisons == budget + d.fallback.search(k).comparisons
+            assert res.comparisons == budget + _PrecedenceTree.search(d, k).comparisons
 
 
 def test_search_absent_and_empty():
@@ -90,7 +91,7 @@ def test_robustness_bound_all_keys():
     budget = d.search_budget()
     for k in range(1, 257):
         res = d.search(k)
-        assert res.comparisons <= budget + d.fallback.search(k).comparisons
+        assert res.comparisons <= budget + _PrecedenceTree.search(d, k).comparisons
 
 
 def test_strong_hi_joint_fingerprint():
@@ -106,7 +107,7 @@ def test_strong_hi_joint_fingerprint():
 
 def test_inexact_queries_delegate_to_fallback():
     d = build(1, [(k, 0.02) for k in range(1, 11)])
-    assert d.predecessor(5) == d.fallback.predecessor(5) == 4
+    assert d.predecessor(5) == _PrecedenceTree.predecessor(d, 5) == 4
     assert d.range_query(1, 10) == list(range(1, 11))
     assert 5 in d and 11 not in d
     assert sorted(d) == list(range(1, 11))
@@ -121,8 +122,9 @@ def test_range_comparisons_bounded():
 
 
 def test_gamma_validation_and_presets():
-    with pytest.raises(ValueError):
-        PairedDict(0, gamma=0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            PairedDict(0, gamma=bad)
     assert PairedDict(0, gamma=GAMMA_HEIGHT).gamma == 3.82
     assert PairedDict(0, gamma=GAMMA_EXPECTED_DEPTH).gamma == 1.3863
 

@@ -18,6 +18,7 @@ from hidict.structures import (
     CTreap,
     LTreap,
     ZipZipTree,
+    _wins,
     zz_rank,
 )
 from hidict.dynamics import DynamicThresholdDict
@@ -350,6 +351,39 @@ def test_thresholded_dict_rejects_load_sorted():
         assert len(d) == 0 and d.policy.n == 0
 
 
+def test_paired_dict_rejects_load_sorted():
+    # the inherited load would fill the fallback side alone
+    d = PairedDict(4)
+    with pytest.raises(TypeError):
+        d.load_sorted([(1, 0.5, None)])
+    assert len(d) == 0 and d.node_count() == 0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cls", [ZipZipTree, LTreap, CTreap])
+def test_non_finite_weight_rejected_before_any_change(cls, bad):
+    # a NaN rank compares false both ways, so insertion order would pick
+    # the shape; an infinite one ties or overflows
+    t = cls(7)
+    for k in (1, 2, 3):
+        t.insert(k, 0.25)
+    before = t.fingerprint()
+    with pytest.raises(ValueError):
+        t.insert(4, bad)
+    assert len(t) == 3 and t.fingerprint() == before
+    t = cls(7)
+    with pytest.raises(ValueError):
+        t.load_sorted([(1, 0.25, None), (2, bad, None)])
+    assert len(t) == 0 and t.fingerprint() == cls(7).fingerprint()
+
+
+def test_ltreap_keeps_zero_and_negative_priorities():
+    t = LTreap(7)
+    t.insert(1, 0.0)
+    t.insert(2, -0.5)
+    assert t.keys() == [1, 2]
+
+
 # ----------------------------------------------------- duplicate inserts
 
 def _search_path(t, key):
@@ -380,7 +414,7 @@ def test_duplicate_insert_leaves_no_trace(make, where):
 
     def enters_above(key):
         path = _search_path(d, key)
-        return len(path) > 1 and d._wins(rank_at(key, new_f), key, path[-2].rank, path[-2].key)
+        return len(path) > 1 and _wins(rank_at(key, new_f), key, path[-2].rank, path[-2].key)
 
     if where == "above":
         key = next(k for k in range(1, 200) if enters_above(k))
