@@ -62,14 +62,15 @@ _BENCH_FLAGS = {
     "--trials": dict(type=int),
 }
 
-# bench test -> (runner, the flags of _BENCH_FLAGS it reads)
+# bench test -> (runner, the flags of _BENCH_FLAGS passed to it); size
+# always runs at run_size's alpha of 2
 _BENCH_TESTS = {
     "zipf-param": (bench.run_zipf_param, ("--n", "--queries", "--trials")),
     "noisy-zipf": (bench.run_noisy_zipf,
                    ("--n-list", "--alpha", "--delta", "--queries", "--trials")),
     "inverse-power": (bench.run_inverse_power,
                       ("--n-list", "--alpha", "--delta", "--queries", "--trials")),
-    "size": (bench.run_size, ("--n-list", "--alpha")),
+    "size": (bench.run_size, ("--n-list",)),
 }
 
 # bench options that are not runner keywords
@@ -77,7 +78,7 @@ _BENCH_OUTPUTS = ("command", "test", "structures", "csv", "svg")
 
 
 def _add_bench(p, test):
-    """Register the flags that ``test``'s runner reads.  A flag left out
+    """Register the flags passed to ``test``'s runner.  A flag left out
     is absent from the namespace, so the runner applies its own default."""
     if test == "zipf-param":
         # the sweep varies alpha; --alpha runs one value

@@ -29,7 +29,9 @@ class PairedDict(ZipZipTree):
     with ``capacity`` set, a threshold-wrapped biased zip-zip tree;
     otherwise a plain biased zip-zip tree using the raw frequency estimates
     as weights.  The fallback's own steps call the engine by class
-    (``_PrecedenceTree.insert(self, ...)``).
+    (``_PrecedenceTree.insert(self, ...)``); the other inherited tree
+    methods, ``search_budgeted`` among them, see the fallback side only.
+    ``check_invariants`` checks both sides and that they hold the same keys.
     """
 
     kind = "zipzip+8"
@@ -65,6 +67,11 @@ class PairedDict(ZipZipTree):
     def load_sorted(self, entries):
         # the inherited load would fill the fallback side alone
         raise TypeError("a paired dict is filled by insert, not load_sorted")
+
+    def check_invariants(self):
+        _PrecedenceTree.check_invariants(self)
+        self.learned.check_invariants()
+        assert self.learned.keys() == self.keys()
 
     def search_budget(self) -> int:
         return max(1, math.floor(self.gamma * math.log2(max(self._n, 2))))

@@ -22,6 +22,7 @@ def test_usage_errors_exit_2(capsys):
 
 @pytest.mark.parametrize("argv", [
     "bench noisy-zipf --n 64",
+    "bench size --alpha 3",
     "bench size --alpha-list 3",
     "bench size --trials 99",
     "bench size --queries 10",
@@ -41,9 +42,8 @@ def test_unused_bench_flags_exit_2(argv, capsys):
 
 
 def test_bench_flags_reach_the_runner(capsys):
-    assert main(["bench", "size", "--n-list", "16", "--alpha", "3",
-                 "--structures", "avl"]) == 0
-    assert "size avl n=16 alpha=3 " in capsys.readouterr().out
+    assert main(["bench", "size", "--n-list", "16", "--structures", "avl"]) == 0
+    assert "size avl n=16 alpha=2 " in capsys.readouterr().out
     assert main(["bench", "zipf-param", "--alpha", "2", "--n", "16", "--queries", "50",
                  "--trials", "1", "--structures", "avl"]) == 0
     out = capsys.readouterr().out.splitlines()

@@ -5,7 +5,7 @@ import pytest
 
 from hidict.core import ComparisonTally, DuplicateKeyError, MissingKeyError
 from hidict.pairing import GAMMA_EXPECTED_DEPTH, GAMMA_HEIGHT, PairedDict
-from hidict.structures import _PrecedenceTree
+from hidict.structures import ZipZipTree, _PrecedenceTree
 
 
 def build(seed, entries, gamma=1.0, capacity=None):
@@ -105,9 +105,19 @@ def test_strong_hi_joint_fingerprint():
     assert a.fingerprint() == b.fingerprint()
 
 
+class _UniformStream8(ZipZipTree):
+    kind = "zipzip+8"
+    _stream = 8
+
+
 def test_inexact_queries_delegate_to_fallback():
     d = build(1, [(k, 0.02) for k in range(1, 11)])
-    assert d.predecessor(5) == _PrecedenceTree.predecessor(d, 5) == 4
+    fallback = _UniformStream8(1)
+    for k in range(1, 11):
+        fallback.insert(k)
+    # the dict's own tree is the uniform tree on stream 8
+    assert _PrecedenceTree.fingerprint(d) == fallback.fingerprint()
+    assert d.predecessor(5) == 4
     assert d.range_query(1, 10) == list(range(1, 11))
     assert 5 in d and 11 not in d
     assert sorted(d) == list(range(1, 11))
@@ -119,6 +129,14 @@ def test_range_comparisons_bounded():
     out = d.range_query(50, 99, tally)
     assert out == list(range(50, 100))
     assert tally.count <= 4 * (math.log2(512) + len(out))
+
+
+def test_check_invariants_sees_both_sides():
+    d = build(2, [(k, 1.0 / 16) for k in range(1, 17)])
+    d.check_invariants()
+    d.learned.delete(9)
+    with pytest.raises(AssertionError):
+        d.check_invariants()
 
 
 def test_gamma_validation_and_presets():
