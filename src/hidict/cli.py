@@ -24,21 +24,26 @@ from .thresholding import ThresholdedDict
 
 
 def _int_list(text):
-    return _nonempty([int(x) for x in text.split(",") if x])
+    return _list(text, int, "comma-separated integers")
 
 
 def _float_list(text):
-    return _nonempty([float(x) for x in text.split(",") if x])
-
-
-def _nonempty(values):
-    if not values:
-        raise argparse.ArgumentTypeError("empty list")
-    return values
+    return _list(text, float, "comma-separated numbers")
 
 
 def _one_float(text):
-    return [float(text)]
+    return _list(text, float, "a number", split=False)
+
+
+def _list(text, convert, expected, split=True):
+    # argparse would name the converter in a ValueError's message
+    try:
+        values = [convert(x) for x in (text.split(",") if split else [text]) if x]
+    except ValueError:
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError("expected %s, got %r" % (expected, text))
+    return values
 
 
 def _structures(text):

@@ -84,9 +84,11 @@ def zz_rerank(rank, old_weight: float, new_weight: float):
 def _wins(rank_a, key_a, rank_b, key_b):
     """Whether node a sits above node b in a precedence tree: the higher
     rank wins, and a rank tie goes to the smaller key so the shape stays a
-    pure function of the content set.  Not a method: a paired dict and its
-    learned side are of two classes, so a load on ``self`` in the engine's
-    loops would miss CPython's attribute cache at every switch."""
+    pure function of the content set.  The insert descent and the zip loop
+    write this test inline, saving a call per level; ranks are finite, so
+    ``r > r2 or (r == r2 and key < key2)`` equals it.  Not a method: a
+    paired dict and its learned side are of two classes, so a load on
+    ``self`` would miss CPython's attribute cache at every switch."""
     if rank_a != rank_b:
         return rank_a > rank_b
     return key_a < key_b
@@ -202,6 +204,22 @@ class _BST:
     def __iter__(self):
         return iter(self.keys())
 
+    def check_invariants(self):
+        """BST order, and the subclass's shape rule at each node; used by
+        tests."""
+        stack = [(self._root, None, None)]
+        while stack:
+            node, lo, hi = stack.pop()
+            if node is None:
+                continue
+            if lo is not None:
+                assert node.key > lo
+            if hi is not None:
+                assert node.key < hi
+            self._check_node(node)
+            stack.append((node.left, lo, node.key))
+            stack.append((node.right, node.key, hi))
+
 
 class _PrecedenceTree(_BST):
     """Base for trees whose shape is the unique heap-on-ranks BST."""
@@ -219,12 +237,14 @@ class _PrecedenceTree(_BST):
         parent = None
         cur = self._root
         while cur is not None:
-            if key == cur.key:
+            ckey = cur.key
+            if key == ckey:
                 raise DuplicateKeyError(key)
-            if _wins(rank, key, cur.rank, cur.key):
+            crank = cur.rank
+            if rank > crank or (rank == crank and key < ckey):  # _wins, inline
                 break
             parent = cur
-            cur = cur.left if key < cur.key else cur.right
+            cur = cur.left if key < ckey else cur.right
         # the rest of the search path is the unzip path below cur; a
         # present key lies on it when its rank is below the new one
         node = cur
@@ -341,7 +361,8 @@ class _PrecedenceTree(_BST):
         attach_node = None
         attach_right = True
         while a is not None and b is not None:
-            if _wins(a.rank, a.key, b.rank, b.key):
+            ra, rb = a.rank, b.rank
+            if ra > rb or (ra == rb and a.key < b.key):  # _wins, inline
                 winner, a, side_right = a, a.right, True
             else:
                 winner, b, side_right = b, b.left, False
@@ -393,24 +414,11 @@ class _PrecedenceTree(_BST):
         parts.append(self._payload_digest())
         return b"".join(parts)
 
-    def check_invariants(self):
-        """BST order + heap-on-ranks order; used by tests."""
-        stack = [(self._root, None, None)]
-        prev_keys = self.keys()
-        assert prev_keys == sorted(prev_keys)
-        while stack:
-            node, lo, hi = stack.pop()
-            if node is None:
-                continue
-            if lo is not None:
-                assert node.key > lo
-            if hi is not None:
-                assert node.key < hi
-            for child in (node.left, node.right):
-                if child is not None:
-                    assert _wins(node.rank, node.key, child.rank, child.key)
-            stack.append((node.left, lo, node.key))
-            stack.append((node.right, node.key, hi))
+    def _check_node(self, node):
+        # heap-on-ranks order
+        for child in (node.left, node.right):
+            if child is not None:
+                assert _wins(node.rank, node.key, child.rank, child.key)
 
 
 class ZipZipTree(_PrecedenceTree):
@@ -477,9 +485,6 @@ class AVLTree(_BST):
     def _fix(self, node):
         node.rank = 1 + max(self._h(node.left), self._h(node.right))
 
-    def _balance(self, node):
-        return self._h(node.left) - self._h(node.right)
-
     def _rot_right(self, y):
         x = y.left
         y.left = x.right
@@ -496,61 +501,94 @@ class AVLTree(_BST):
         self._fix(y)
         return y
 
-    def _rebalance(self, node):
-        self._fix(node)
-        bal = self._balance(node)
-        if bal > 1:
-            if self._balance(node.left) < 0:
-                node.left = self._rot_left(node.left)
-            return self._rot_right(node)
-        if bal < -1:
-            if self._balance(node.right) > 0:
-                node.right = self._rot_right(node.right)
-            return self._rot_left(node)
-        return node
-
     def insert(self, key, weight: float = 1.0, payload: Optional[bytes] = None):
         # weight accepted for interface uniformity and ignored
-        def rec(node):
-            if node is None:
-                return _Node(key, 1, None, payload)
-            if key == node.key:
+        path = []
+        cur = self._root
+        while cur is not None:
+            if key == cur.key:
                 raise DuplicateKeyError(key)
-            if key < node.key:
-                node.left = rec(node.left)
-            else:
-                node.right = rec(node.right)
-            return self._rebalance(node)
-
-        self._root = rec(self._root)
+            path.append(cur)
+            cur = cur.left if key < cur.key else cur.right
+        new = _Node(key, 1, None, payload)
+        if not path:
+            self._root = new
+        elif key < path[-1].key:
+            path[-1].left = new
+        else:
+            path[-1].right = new
         self._n += 1
+        self._retrace(path)
 
     def delete(self, key):
-        if key not in self:
+        path = []
+        cur = self._root
+        while cur is not None and key != cur.key:
+            path.append(cur)
+            cur = cur.left if key < cur.key else cur.right
+        if cur is None:
             raise MissingKeyError(key)
-
-        def rec(node, target):
-            if target == node.key:
-                if node.left is None:
-                    return node.right
-                if node.right is None:
-                    return node.left
-                succ = node.right
-                while succ.left is not None:
-                    succ = succ.left
-                node.key, node.payload = succ.key, succ.payload
-                node.right = rec(node.right, succ.key)
-            elif target < node.key:
-                node.left = rec(node.left, target)
-            else:
-                node.right = rec(node.right, target)
-            return self._rebalance(node)
-
-        self._root = rec(self._root, key)
+        if cur.left is not None and cur.right is not None:
+            # the successor's key and payload move up, and the successor,
+            # which has no left child, is unlinked in their place
+            path.append(cur)
+            succ = cur.right
+            while succ.left is not None:
+                path.append(succ)
+                succ = succ.left
+            cur.key, cur.payload = succ.key, succ.payload
+            cur = succ
+        child = cur.left if cur.left is not None else cur.right
+        if not path:
+            self._root = child
+        elif path[-1].left is cur:
+            path[-1].left = child
+        else:
+            path[-1].right = child
         self._n -= 1
+        self._retrace(path)
+
+    def _retrace(self, path):
+        """Restore heights and balance up ``path``, the ancestors of a
+        changed subtree from the root down, in one loop.  It stops at the
+        first node whose rebalanced subtree kept its height: nothing above
+        it changes (Knuth, TAOCP vol. 3, 6.2.3)."""
+        while path:
+            node = path.pop()
+            old = node.rank
+            left, right = node.left, node.right
+            hl = left.rank if left is not None else 0
+            hr = right.rank if right is not None else 0
+            if hl - hr > 1:
+                if self._h(left.left) < self._h(left.right):
+                    node.left = self._rot_left(left)
+                top = self._rot_right(node)
+            elif hr - hl > 1:
+                if self._h(right.left) > self._h(right.right):
+                    node.right = self._rot_right(right)
+                top = self._rot_left(node)
+            else:
+                node.rank = 1 + (hl if hl > hr else hr)
+                if node.rank == old:
+                    return
+                continue
+            if not path:
+                self._root = top
+            elif path[-1].left is node:
+                path[-1].left = top
+            else:
+                path[-1].right = top
+            if top.rank == old:
+                return
 
     def height(self) -> int:
         return self._h(self._root)
+
+    def _check_node(self, node):
+        # the stored height is exact, and the balance is in [-1, 1]
+        hl, hr = self._h(node.left), self._h(node.right)
+        assert node.rank == 1 + max(hl, hr)
+        assert -1 <= hl - hr <= 1
 
     def fingerprint(self) -> bytes:
         parts = [b"avl;n=%d;" % self._n]

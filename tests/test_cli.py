@@ -41,6 +41,22 @@ def test_unused_bench_flags_exit_2(argv, capsys):
     assert e.value.code == 2
 
 
+@pytest.mark.parametrize("argv, flag", [
+    ("bench size --n-list x", "--n-list"),
+    ("verify whi --n-list 5,y", "--n-list"),
+    ("bench zipf-param --alpha z", "--alpha"),
+    ("bench zipf-param --alpha-list 1,q", "--alpha-list"),
+])
+def test_bad_values_name_the_flag_not_the_converter(argv, flag, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(argv.split())
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument %s: expected " % flag in err
+    for name in ("_int_list", "_float_list", "_one_float"):
+        assert name not in err
+
+
 def test_bench_flags_reach_the_runner(capsys):
     assert main(["bench", "size", "--n-list", "16", "--structures", "avl"]) == 0
     assert "size avl n=16 alpha=2 " in capsys.readouterr().out

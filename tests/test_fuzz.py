@@ -7,7 +7,8 @@ history-independent structure's fingerprint must equal that of a fresh
 build of the model's contents in sorted order; for the dynamic dicts the
 fresh build is then rebuilt at the same cutoff N.  That is unique
 representation, checked on the real structures.  The AVL tree depends on
-its history by design, so only its replies and keys are checked.
+its history by design, so its replies, its keys and its own invariants
+(exact heights, balance in [-1, 1]) are checked.
 """
 
 import pytest
@@ -112,6 +113,7 @@ class DictionaryContract(RuleBasedStateMachine):
         for name, s in self.structs.items():
             assert s.keys() == [k for k, _, _ in entries]
             if name == "avl":
+                s.check_invariants()
                 continue
             N = s.N if name.startswith("dynamic") else None
             assert s.fingerprint() == _fresh(name, entries, N).fingerprint(), name

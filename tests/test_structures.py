@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hidict.structures import (
     CTreap,
     LTreap,
     ZipZipTree,
+    _Node,
     _wins,
     zz_rank,
 )
@@ -277,6 +279,7 @@ def test_avl_height_bound():
             t.insert(k)
         assert t.height() <= 1.44 * math.log2(n + 2)
         assert t.keys() == list(range(1, n + 1))
+        t.check_invariants()
 
 
 def test_avl_delete():
@@ -285,12 +288,192 @@ def test_avl_delete():
         t.insert(k)
     for k in range(1, 64, 2):
         t.delete(k)
+        t.check_invariants()
     assert t.keys() == list(range(2, 64, 2))
     assert t.height() <= 1.44 * math.log2(t.node_count() + 2)
     with pytest.raises(MissingKeyError):
         t.delete(1)
     with pytest.raises(DuplicateKeyError):
         t.insert(2)
+
+
+class _RecursiveAVL(AVLTree):
+    """Reference AVL: the recursive insert and delete that rebalance every
+    level of the path up to the root.  Its shapes are the ones the
+    iterative writes must keep."""
+
+    @staticmethod
+    def _ref_fix(node):
+        node.rank = 1 + max(AVLTree._h(node.left), AVLTree._h(node.right))
+
+    @staticmethod
+    def _ref_balance(node):
+        return AVLTree._h(node.left) - AVLTree._h(node.right)
+
+    def _ref_rot_right(self, y):
+        x = y.left
+        y.left = x.right
+        x.right = y
+        self._ref_fix(y)
+        self._ref_fix(x)
+        return x
+
+    def _ref_rot_left(self, x):
+        y = x.right
+        x.right = y.left
+        y.left = x
+        self._ref_fix(x)
+        self._ref_fix(y)
+        return y
+
+    def _rebalance(self, node):
+        self._ref_fix(node)
+        bal = self._ref_balance(node)
+        if bal > 1:
+            if self._ref_balance(node.left) < 0:
+                node.left = self._ref_rot_left(node.left)
+            return self._ref_rot_right(node)
+        if bal < -1:
+            if self._ref_balance(node.right) > 0:
+                node.right = self._ref_rot_right(node.right)
+            return self._ref_rot_left(node)
+        return node
+
+    def insert(self, key, weight=1.0, payload=None):
+        def rec(node):
+            if node is None:
+                return _Node(key, 1, None, payload)
+            if key == node.key:
+                raise DuplicateKeyError(key)
+            if key < node.key:
+                node.left = rec(node.left)
+            else:
+                node.right = rec(node.right)
+            return self._rebalance(node)
+
+        self._root = rec(self._root)
+        self._n += 1
+
+    def delete(self, key):
+        if key not in self:
+            raise MissingKeyError(key)
+
+        def rec(node, target):
+            if target == node.key:
+                if node.left is None:
+                    return node.right
+                if node.right is None:
+                    return node.left
+                succ = node.right
+                while succ.left is not None:
+                    succ = succ.left
+                node.key, node.payload = succ.key, succ.payload
+                node.right = rec(node.right, succ.key)
+            elif target < node.key:
+                node.left = rec(node.left, target)
+            else:
+                node.right = rec(node.right, target)
+            return self._rebalance(node)
+
+        self._root = rec(self._root, key)
+        self._n -= 1
+
+
+@pytest.mark.parametrize("order", ["sorted", "reverse", "random"])
+def test_avl_shapes_equal_the_recursive_reference(order):
+    rng = random.Random(order)
+    keys = {"sorted": list(range(1, 201)), "reverse": list(range(200, 0, -1)),
+            "random": rng.sample(range(1, 2000), 200)}[order]
+    t, ref = AVLTree(), _RecursiveAVL()
+    for k in keys:
+        t.insert(k, payload=b"%d" % k)
+        ref.insert(k, payload=b"%d" % k)
+        assert t.fingerprint() == ref.fingerprint()
+    t.check_invariants()
+    # delete down to empty, mostly at nodes with two children
+    two_children = successor_is_right_child = 0
+    while len(t):
+        nodes = list(t._inorder())
+        inner = [n for n in nodes if n.left is not None and n.right is not None]
+        node = rng.choice(inner if inner and rng.random() < 0.8 else nodes)
+        if node in inner:
+            two_children += 1
+            successor_is_right_child += node.right.left is None
+        key = node.key
+        t.delete(key)
+        ref.delete(key)
+        assert t.fingerprint() == ref.fingerprint()
+        assert t.items() == ref.items()
+        t.check_invariants()
+    assert two_children >= 50 and successor_is_right_child >= 10
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_avl_random_trace_equals_the_recursive_reference(seed):
+    rng = random.Random(seed)
+    t, ref = AVLTree(), _RecursiveAVL()
+    for _ in range(300):
+        key = rng.randrange(48)
+        before = t.fingerprint()
+        if rng.random() < 0.55:
+            if key in t:
+                with pytest.raises(DuplicateKeyError):
+                    t.insert(key)
+                assert t.fingerprint() == before
+                continue
+            t.insert(key, payload=b"%d" % key)
+            ref.insert(key, payload=b"%d" % key)
+        else:
+            if key not in t:
+                with pytest.raises(MissingKeyError):
+                    t.delete(key)
+                assert t.fingerprint() == before
+                continue
+            t.delete(key)
+            ref.delete(key)
+        assert t.fingerprint() == ref.fingerprint()
+        t.check_invariants()
+    assert t.items() == ref.items()
+
+
+def _mean_write_calls(cls, n, steps=256):
+    """Mean Python function calls (profile ``call`` events, no clock) per
+    insert and per delete on a tree held at about ``n`` random keys."""
+    rng = random.Random(n)
+    keys = rng.sample(range(10 * n + 10 * steps), n + steps)
+    t = cls(1)
+    for k in keys[:n]:
+        t.insert(k)
+    live = keys[:n]
+    counts = {"insert": 0, "delete": 0}
+    op = None
+
+    def profile(frame, event, arg):
+        if event == "call":
+            counts[op] += 1
+
+    for k in keys[n:]:
+        victim = live.pop(rng.randrange(len(live)))
+        op = "insert"
+        sys.setprofile(profile)
+        t.insert(k)
+        sys.setprofile(None)
+        op = "delete"
+        sys.setprofile(profile)
+        t.delete(victim)
+        sys.setprofile(None)
+        live.append(k)
+    return counts["insert"] / steps, counts["delete"] / steps
+
+
+@pytest.mark.parametrize("cls, op", [(AVLTree, "insert"), (AVLTree, "delete"),
+                                     (ZipZipTree, "insert")])
+def test_write_calls_do_not_grow_with_size(cls, op):
+    # a write walks the tree in loops, not in a call per level
+    index = ("insert", "delete").index(op)
+    small = _mean_write_calls(cls, 64)[index]
+    large = _mean_write_calls(cls, 4096)[index]
+    assert large <= small + 2, (small, large)
 
 
 # ------------------------------------------------------------ bulk load
