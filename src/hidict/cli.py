@@ -18,9 +18,6 @@ from .hiverify import (
     shi_check,
     whi_check,
 )
-from .pairing import PairedDict
-from .structures import ZipZipTree
-from .thresholding import ThresholdedDict
 
 
 def _int_list(text):
@@ -154,13 +151,9 @@ def _cmd_bench(args):
 
 
 def _cmd_verify_shi(args):
-    factories = {
-        "zipzip": lambda: ZipZipTree(args.seed),
-        "threshold-zipzip": lambda: ThresholdedDict(args.seed, capacity=2 * args.universe),
-        "paired-zipzip": lambda: PairedDict(args.seed, capacity=2 * args.universe),
-    }
     ok = True
-    for name, factory in factories.items():
+    for name in ("zipzip", "threshold-zipzip", "paired-zipzip"):
+        factory = lambda: bench.make_structure(name, args.seed, 2 * args.universe)
         exhaustive = shi_check(factory, 6, 0, args.seed)
         randomized = shi_check(factory, args.universe, args.trials, args.seed)
         mism = exhaustive.mismatches + randomized.mismatches

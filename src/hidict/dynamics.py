@@ -132,11 +132,11 @@ class CutoffSimulator:
 class DynamicThresholdDict(ThresholdedDict):
     """``ThresholdedDict`` whose cutoff N follows a ``CutoffSimulator``.
 
-    Every stored weight is max(f/2, 1/(2N)) for the current cutoff N; a
-    rebuild re-thresholds every key and relinks the tree's own nodes in
-    key order (``ThresholdedDict.rebuild``), so the fingerprint is a pure
-    function of (content set, structural seed, N).  Scheme draws come from
-    ``random.Random(scheme_seed)``.
+    A node holds its key's raw f and a rank drawn at max(f/2, 1/(2N)) for
+    the current cutoff N; a rebuild moves every rank to the new N and
+    relinks the nodes in key order (``ThresholdedDict.rebuild``), so the
+    tree, the dict's whole per-key state, is a function of (contents,
+    seed, N).  Scheme draws come from ``random.Random(scheme_seed)``.
     """
 
     def __init__(self, seed: int, scheme: str = "whi", scheme_seed: int = 0):

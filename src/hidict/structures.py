@@ -392,27 +392,25 @@ class _PrecedenceTree(_BST):
             h.update(b";")
         return h.digest()
 
+    def _drawn_weight(self, weight):
+        # the weight a node's rank was drawn at, from its stored weight
+        return weight
+
     def fingerprint(self) -> bytes:
-        """Canonical serialization: preorder topology + per-node state."""
-        parts = [b"%s;seed=%d;n=%d;" % (self.kind.encode(), self.seed, self._n)]
+        """Canonical serialization: preorder topology, and each node's
+        key, rank and the weight its rank was drawn at."""
+        drawn = self._drawn_weight
+        parts = ["%s;seed=%d;n=%d;" % (self.kind, self.seed, self._n)]
         stack = [self._root]
         while stack:
             node = stack.pop()
             if node is None:
-                parts.append(b".")
+                parts.append(".")
                 continue
-            parts.append(
-                b"(%s:%s:%s)" % (
-                    repr(node.key).encode(),
-                    repr(node.rank).encode(),
-                    repr(node.weight).encode(),
-                )
-            )
+            parts.append("(%r:%r:%r)" % (node.key, node.rank, drawn(node.weight)))
             stack.append(node.right)
             stack.append(node.left)
-        parts.append(b"|payload=")
-        parts.append(self._payload_digest())
-        return b"".join(parts)
+        return ("".join(parts) + "|payload=").encode() + self._payload_digest()
 
     def _check_node(self, node):
         # heap-on-ranks order

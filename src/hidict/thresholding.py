@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import CapacityError
+from .core import CapacityError, MissingKeyError
 from .structures import ZipZipTree, _PrecedenceTree, zz_rerank
 
 
@@ -22,7 +22,9 @@ def threshold(f: float, capacity: int) -> float:
         raise ValueError("frequency must be in [0, 1], got %r" % (f,))
     if capacity < 1:
         raise ValueError("capacity must be >= 1, got %r" % (capacity,))
-    return max(f / 2.0, 1.0 / (2.0 * capacity))
+    # not max(): its call doubles the cost per key of rebuilds and fingerprints
+    half, floor = f / 2.0, 1.0 / (2.0 * capacity)
+    return half if half > floor else floor
 
 
 def threshold_array(f: np.ndarray, capacity: int) -> np.ndarray:
@@ -64,14 +66,15 @@ class FixedCutoff:
 
 
 class ThresholdedDict(ZipZipTree):
-    """Biased zip-zip tree whose stored weights are thresholded frequencies.
+    """Biased zip-zip tree whose ranks are drawn at thresholded frequencies.
 
-    Every stored weight is ``threshold(f, N)`` for the cutoff N of the
-    policy: fixed at ``capacity`` here, dynamic in ``DynamicThresholdDict``.
-    Reads are the tree's own.  Raw frequencies are kept alongside entries,
-    so a rebuild at a new N re-thresholds losslessly.  Updates call the
-    engine by class (``_PrecedenceTree.insert(self, ...)``): on CPython 3.11
-    a zero-argument ``super()`` call made deletes about 8% slower.
+    A node's ``weight`` holds its key's raw frequency f and its rank is
+    drawn at ``threshold(f, N)``; ``rebuild`` moves ``N`` to the policy's
+    cutoff, fixed at ``capacity`` here, dynamic in ``DynamicThresholdDict``.
+    The tree is the dict's whole per-key state.  Reads are the tree's own.
+    Updates call the engine by class (``_PrecedenceTree.insert(self, ...)``):
+    on CPython 3.11 a zero-argument ``super()`` call made deletes about 8%
+    slower.
     """
 
     def __init__(self, seed: int, capacity: int):
@@ -80,63 +83,69 @@ class ThresholdedDict(ZipZipTree):
     def _attach(self, seed: int, policy):
         ZipZipTree.__init__(self, seed)
         self.policy = policy
-        self._freqs = {}
-
-    @property
-    def N(self) -> int:
-        return self.policy.N
+        self.N = policy.N
 
     @property
     def n(self) -> int:
         return self._n
 
+    def _rank(self, key, f):
+        return ZipZipTree._rank(self, key, threshold(f, self.N))
+
+    def _drawn_weight(self, f):
+        return threshold(f, self.N)
+
     def rebuild(self, N: int):
         """Re-threshold every key at cutoff N and relink the tree in O(n).
 
         The tree's own nodes are relinked in key order with their ranks
-        moved to the new weights, so a rebuild hashes no key and allocates
-        no node; the result equals a fresh build at N.
+        moved from the old cutoff's weights to N's, so a rebuild hashes no
+        key and allocates no node; the result equals a fresh build at N.
         """
-        self.policy.N = N
+        old = self.N
         nodes = list(self._inorder())
-        freqs = self._freqs
         for node in nodes:
-            weight = threshold(freqs[node.key], N)
-            node.rank = zz_rerank(node.rank, node.weight, weight)
-            node.weight = weight
+            f = node.weight
+            node.rank = zz_rerank(node.rank, threshold(f, old), threshold(f, N))
+        self.N = self.policy.N = N
         self._link_sorted(nodes)
 
     def insert(self, key, f: float = 0.0, payload: Optional[bytes] = None):
-        # threshold() validates f, and the tree the key, before the policy
-        # changes
-        _PrecedenceTree.insert(self, key, threshold(f, self.N), payload)
+        # _rank validates f, and the tree the key, before the policy changes
+        _PrecedenceTree.insert(self, key, f, payload)
         try:
             rebuild_due = self.policy.insert()
         except CapacityError:
             _PrecedenceTree.delete(self, key)
             raise
-        self._freqs[key] = f
         # the shape depends only on the (key, weight) set, so a rebuild
         # applied after the insert equals one applied before it
         if rebuild_due:
-            self.rebuild(self.N)
+            self.rebuild(self.policy.N)
 
     def delete(self, key):
         _PrecedenceTree.delete(self, key)
-        del self._freqs[key]
         if self.policy.delete():
-            self.rebuild(self.N)
+            self.rebuild(self.policy.N)
+        elif not self._n:  # an emptied dynamic policy resets N, no rebuild due
+            self.N = self.policy.N
 
     def load_sorted(self, entries):
-        # stored weights and rebuilds follow the cutoff policy, which
+        # ranks and rebuilds follow the cutoff policy, which
         # counts (and, when dynamic, draws) per insert
         raise TypeError("a thresholded dict is filled by insert, not load_sorted")
 
     def raw_frequency(self, key) -> float:
-        return self._freqs[key]
+        cur = self._root
+        while cur is not None:
+            if key == cur.key:
+                return cur.weight
+            cur = cur.left if key < cur.key else cur.right
+        raise MissingKeyError(key)
 
     def stored_weight_sum(self) -> float:
-        return sum(threshold(f, self.N) for f in self._freqs.values())
+        # in key order, so the float depends on the contents alone
+        return sum(threshold(node.weight, self.N) for node in self._inorder())
 
     def fingerprint(self) -> bytes:
         return self.policy.header() + _PrecedenceTree.fingerprint(self)

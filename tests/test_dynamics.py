@@ -55,8 +55,8 @@ def test_counterexample_contents_equal_but_fingerprints_differ():
     assert sorted(x.keys()) == sorted(y.keys()) == [1, 2, 3]
     assert x.fingerprint() != y.fingerprint()
     # the divergence is real: thresholds 1/32 vs 1/8 move the rank floor
-    wx = {n.key: n.weight for n in _nodes(x)}
-    wy = {n.key: n.weight for n in _nodes(y)}
+    wx = {n.key: threshold(n.weight, x.N) for n in _nodes(x)}
+    wy = {n.key: threshold(n.weight, y.N) for n in _nodes(y)}
     assert wx[1] == 1.0 / 32 and wy[1] == 1.0 / 8
 
 
@@ -189,7 +189,7 @@ def test_rebuild_rethresholds_weights():
     d = DynamicThresholdDict(0, scheme="whi")
     d.insert(1, 0.0)
     d.rebuild(16)
-    weights = {n.key: n.weight for n in _nodes(d)}
+    weights = {n.key: threshold(n.weight, d.N) for n in _nodes(d)}
     assert weights[1] == 1.0 / 32  # max(0, 1/(2*16))
 
 
@@ -236,7 +236,7 @@ def test_post_rebuild_weight_sum():
     for k in range(1, 51):
         d.insert(k, raw[k - 1] / scale)
     d.rebuild(d.n)  # smallest admissible cutoff
-    assert sum(n.weight for n in _nodes(d)) <= 1.0 + 1e-9
+    assert sum(threshold(n.weight, d.N) for n in _nodes(d)) <= 1.0 + 1e-9
 
 
 def test_dynamic_dict_tracks_scheme_invariant():

@@ -6,9 +6,11 @@ each reply and the key order against a plain dict.  After every step, each
 history-independent structure's fingerprint must equal that of a fresh
 build of the model's contents in sorted order; for the dynamic dicts the
 fresh build is then rebuilt at the same cutoff N.  That is unique
-representation, checked on the real structures.  The AVL tree depends on
-its history by design, so its replies, its keys and its own invariants
-(exact heights, balance in [-1, 1]) are checked.
+representation, checked on the real structures.  Each thresholded dict
+(the paired dict's learned side included) must also report the model's
+raw frequency for every key and the fresh build's weight sum.  The AVL
+tree depends on its history by design, so its replies, its keys and its
+own invariants (exact heights, balance in [-1, 1]) are checked.
 """
 
 import pytest
@@ -16,7 +18,7 @@ from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from hidict.core import DuplicateKeyError, MissingKeyError
-from hidict.dynamics import DynamicThresholdDict
+from hidict.dynamics import AMORTIZED_INITIAL_CUTOFF, DynamicThresholdDict
 from hidict.pairing import PairedDict
 from hidict.structures import AVLTree, CTreap, LTreap, ZipZipTree
 from hidict.thresholding import ThresholdedDict
@@ -42,6 +44,8 @@ def _fresh(name, entries, N):
         t = ThresholdedDict(SEED, CAPACITY)
     elif name == "paired":
         t = PairedDict(SEED)
+    elif name == "paired-threshold":
+        t = PairedDict(SEED, capacity=CAPACITY)
     else:
         t = DynamicThresholdDict(SEED, scheme=name.split("-")[1])
     for entry in entries:
@@ -61,6 +65,7 @@ class DictionaryContract(RuleBasedStateMachine):
             "dynamic-whi": DynamicThresholdDict(SEED, scheme="whi", scheme_seed=5),
             "dynamic-amortized": DynamicThresholdDict(SEED, scheme="amortized"),
             "paired": PairedDict(SEED),
+            "paired-threshold": PairedDict(SEED, capacity=CAPACITY),
             "l-treap": LTreap(SEED),
             "c-treap": CTreap(SEED),
             "avl": AVLTree(SEED),
@@ -116,8 +121,32 @@ class DictionaryContract(RuleBasedStateMachine):
                 s.check_invariants()
                 continue
             N = s.N if name.startswith("dynamic") else None
-            assert s.fingerprint() == _fresh(name, entries, N).fingerprint(), name
+            fresh = _fresh(name, entries, N)
+            assert s.fingerprint() == fresh.fingerprint(), name
+            side = getattr(s, "learned", s)
+            if isinstance(side, ThresholdedDict):
+                assert [side.raw_frequency(k) for k, _, _ in entries] == [f for _, f, _ in entries]
+                assert side.stored_weight_sum() == getattr(fresh, "learned", fresh).stored_weight_sum()
 
 
 DictionaryContract.TestCase.settings = settings(max_examples=100, stateful_step_count=50)
 test_dictionary_contract = DictionaryContract.TestCase
+
+
+def test_rebuild_then_empty_then_refill():
+    # the amortized policy squares N at n == 4 and resets it, with no
+    # rebuild due, when the dict empties; the refill must draw its ranks at
+    # the reset N
+    machine = DictionaryContract()
+    amortized = machine.structs["dynamic-amortized"]
+    for k in range(1, 6):
+        machine.insert(k, 0.125, b"p")
+        machine.equals_fresh_sorted_build()
+    assert amortized.policy.rebuilds == 1
+    for k in range(1, 6):
+        machine.delete(k)
+        machine.equals_fresh_sorted_build()
+    for k in range(3, 6):
+        machine.insert(k, 0.125, b"p")
+        machine.equals_fresh_sorted_build()
+    assert amortized.N == AMORTIZED_INITIAL_CUTOFF

@@ -12,7 +12,7 @@ from hidict.hiverify import (
     total_variation,
     whi_check,
 )
-from hidict.structures import ZipZipTree
+from hidict.structures import AVLTree, ZipZipTree
 from hidict.thresholding import ThresholdedDict
 
 
@@ -50,18 +50,11 @@ def test_shi_threshold_wrapper():
 
 
 def test_shi_negative_control():
-    # order-sensitive structure: AVL-like behavior faked by an insertion
-    # counter folded into the weight
-    class OrderSensitive(ZipZipTree):
-        def __init__(self, seed):
-            super().__init__(seed)
-            self._ctr = 0
-
-        def insert(self, key, f=1.0, payload=None):
-            self._ctr += 1
-            super().insert(key, 1.0 / self._ctr, payload)
-
-    report = shi_check(lambda: OrderSensitive(5), universe_size=5, trials=0)
+    # the AVL tree's shape depends on the insertion order, so the verifier
+    # must flag it, exhaustively and over random histories
+    report = shi_check(AVLTree, universe_size=5, trials=0)
+    assert report.trials == 120 and report.mismatches == 84 and not report.passed
+    report = shi_check(AVLTree, universe_size=40, trials=20, seed=1)
     assert report.mismatches >= 1 and not report.passed
 
 

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hidict.core import CapacityError, DuplicateKeyError, MissingKeyError
+from hidict.dynamics import DynamicThresholdDict
+from hidict.pairing import PairedDict
 from hidict.thresholding import ThresholdedDict, threshold, threshold_array
 from hidict.workloads import zipf_frequencies
 
@@ -120,7 +122,75 @@ def test_dictionary_contract_delegates():
     assert d.predecessor(7) == 6
     assert d.range_query(3, 6) == [3, 4, 5, 6]
     assert d.raw_frequency(7) == 0.05
+    with pytest.raises(MissingKeyError):
+        d.raw_frequency(11)
     assert sorted(d) == list(range(1, 11))
+
+
+def _histories(rng, target, spare, count):
+    """``count`` random operation lists that each end holding ``target``:
+    shuffled inserts with delete-reinsert and transient-key detours, and
+    one grow-then-shrink through every spare key."""
+    for _ in range(count):
+        ops, present = [], []
+        order = rng.sample(target, len(target))
+        grow_at = rng.randrange(len(order))
+        for i, key in enumerate(order):
+            ops.append(("i", key))
+            present.append(key)
+            if rng.random() < 0.3:
+                victim = rng.choice(present)
+                ops += [("d", victim), ("i", victim)]
+            if rng.random() < 0.2:
+                extra = rng.choice(spare)
+                ops += [("i", extra), ("d", extra)]
+            if i == grow_at:
+                ops += [("i", k) for k in spare]
+                ops += [("d", k) for k in rng.sample(spare, len(spare))]
+        yield ops
+
+
+def _side_containers(obj, path="d"):
+    """Attributes reachable from ``obj`` through hidict objects, other than
+    a tree's root, that hold a container."""
+    found = []
+    for name, value in vars(obj).items():
+        if name == "_root":
+            continue
+        if isinstance(value, (dict, list, set, frozenset, tuple)):
+            found.append("%s.%s" % (path, name))
+        elif type(value).__module__.startswith("hidict."):
+            found += _side_containers(value, "%s.%s" % (path, name))
+    return found
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ThresholdedDict(3, 1000),
+    lambda: DynamicThresholdDict(3, scheme="whi", scheme_seed=4),
+    lambda: PairedDict(3, capacity=1000),
+], ids=["threshold", "dynamic-whi", "paired"])
+def test_history_leaves_no_trace_beside_the_tree(make):
+    # one content set reached by many histories: the weight sum is the same
+    # float every time, and no per-key store records the order keys came in
+    rng = random.Random(8)
+    target = rng.sample(range(1, 10_000), 120)
+    spare = rng.sample(range(10_000, 20_000), 300)
+    freqs = {k: rng.random() for k in target + spare}
+    sums = set()
+    for ops in _histories(rng, target, spare, 20):
+        d = make()
+        for op, key in ops:
+            if op == "i":
+                d.insert(key, freqs[key])
+            else:
+                d.delete(key)
+        side = getattr(d, "learned", d)
+        if isinstance(side, DynamicThresholdDict):
+            side.rebuild(1000)  # the WHI cutoff is random; compare at one N
+        assert d.keys() == sorted(target)
+        assert _side_containers(d) == []
+        sums.add(side.stored_weight_sum().hex())
+    assert len(sums) == 1
 
 
 def test_fingerprint_depends_on_capacity():
