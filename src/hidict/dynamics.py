@@ -1,6 +1,6 @@
-"""Dynamic capacity management for threshold-wrapped structures.
-
-Two cutoff-update schemes drive rebuilds:
+"""Dynamic cutoffs.  One scheme step moves the cutoff N as the size n
+changes, in a ``DynamicThresholdDict`` (which rebuilds its tree) and in a
+``CutoffSimulator`` alike.  The two schemes are:
 
 * the amortized scheme (square N on growth, fourth-root trigger on
   shrink), which is *not* history independent --
@@ -23,10 +23,12 @@ import random
 from typing import Optional
 
 from .core import MissingKeyError
+from .structures import ZipZipTree, _PrecedenceTree
 from .thresholding import ThresholdedDict
 
 AMORTIZED_INITIAL_CUTOFF = 4
 WHI_INITIAL_CUTOFF = 1
+_INITIAL_CUTOFF = {"amortized": AMORTIZED_INITIAL_CUTOFF, "whi": WHI_INITIAL_CUTOFF}
 
 # A cutoff rule maps the size n and cutoff N (and, for the WHI scheme,
 # uniform draws) to the new cutoff of a due rebuild, or to None.
@@ -70,77 +72,98 @@ def whi_after_delete(n: int, N: int, u: float) -> Optional[int]:
     return None
 
 
-class CutoffSimulator:
-    """Dynamic cutoff policy: the amortized or the WHI scheme.
-
-    Scheme decisions depend only on (n, N, randomness), so the policy runs
-    on its own as a simulator -- distributional HI tests over the cutoff
-    marginal skip tree maintenance entirely -- and ``DynamicThresholdDict``
-    drives the same object to decide its rebuilds.  ``insert`` and
-    ``delete`` return True when a rebuild at the new ``N`` is due; rebuild
-    work is counted as key moves.
-    """
+class _CutoffScheme:
+    """The amortized or the WHI step of the cutoff N, run after each update
+    has moved the size ``_n``; a due step calls ``self.rebuild(new N)``."""
 
     def __init__(self, scheme: str, rng: random.Random):
-        if scheme not in ("amortized", "whi"):
+        if scheme not in _INITIAL_CUTOFF:
             raise ValueError("unknown scheme %r" % (scheme,))
         self.scheme = scheme
         self.rng = rng
-        self.n = 0
-        self.N = self._initial()
-        self.rebuilds = 0
-        self.key_moves = 0
-        self.operations = 0
+        self.N = _INITIAL_CUTOFF[scheme]
 
-    def _initial(self) -> int:
-        return AMORTIZED_INITIAL_CUTOFF if self.scheme == "amortized" else WHI_INITIAL_CUTOFF
+    @property
+    def n(self) -> int:
+        return self._n
 
-    def _apply(self, new_N: Optional[int]) -> bool:
-        if new_N is None:
-            return False
-        self.N = new_N
-        self.rebuilds += 1
-        self.key_moves += self.n
-        return True
+    def _after_insert(self):
+        if self.scheme == "whi":  # decided on the size before the insert
+            new_N = whi_before_insert(self._n - 1, self.N,
+                                      self.rng.random(), self.rng.random())
+        else:
+            new_N = amortized_after_insert(self._n, self.N)
+        if new_N is not None:
+            self.rebuild(new_N)
 
-    def insert(self, key=None, f: float = 0.0) -> bool:
-        self.operations += 1
+    def _after_delete(self):
+        if not self._n:  # an emptied dict resets N, with no draw and no rebuild
+            self.N = _INITIAL_CUTOFF[self.scheme]
+            return
         if self.scheme == "whi":
-            due = self._apply(whi_before_insert(self.n, self.N,
-                                                self.rng.random(), self.rng.random()))
-            self.n += 1
-            return due
-        self.n += 1
-        return self._apply(amortized_after_insert(self.n, self.N))
-
-    def delete(self, key=None) -> bool:
-        if self.n == 0:
-            raise MissingKeyError("empty")
-        self.operations += 1
-        self.n -= 1
-        if self.n == 0:
-            self.N = self._initial()
-            return False
-        if self.scheme == "whi":
-            return self._apply(whi_after_delete(self.n, self.N, self.rng.random()))
-        return self._apply(amortized_after_delete(self.n, self.N))
+            new_N = whi_after_delete(self._n, self.N, self.rng.random())
+        else:
+            new_N = amortized_after_delete(self._n, self.N)
+        if new_N is not None:
+            self.rebuild(new_N)
 
     def header(self) -> bytes:
         return b"dyn;scheme=%s;N=%d;" % (self.scheme.encode(), self.N)
 
 
-class DynamicThresholdDict(ThresholdedDict):
-    """``ThresholdedDict`` whose cutoff N follows a ``CutoffSimulator``.
+class CutoffSimulator(_CutoffScheme):
+    """The scheme step with no tree, so HI tests over the cutoff marginal
+    skip tree upkeep; ``rebuilds``, ``operations`` and ``key_moves`` (the
+    size at each rebuild) count what a dict with this history would do."""
 
-    A node holds its key's raw f and a rank drawn at max(f/2, 1/(2N)) for
-    the current cutoff N; a rebuild moves every rank to the new N and
-    relinks the nodes in key order (``ThresholdedDict.rebuild``), so the
-    tree, the dict's whole per-key state, is a function of (contents,
-    seed, N).  Scheme draws come from ``random.Random(scheme_seed)``.
+    def __init__(self, scheme: str, rng: random.Random):
+        super().__init__(scheme, rng)
+        self._n = 0
+        self.rebuilds = 0
+        self.key_moves = 0
+        self.operations = 0
+
+    def rebuild(self, N: int):
+        self.N = N
+        self.rebuilds += 1
+        self.key_moves += self._n
+
+    def insert(self, key=None, f: float = 0.0):
+        self.operations += 1
+        self._n += 1
+        self._after_insert()
+
+    def delete(self, key=None):
+        if self._n == 0:
+            raise MissingKeyError("empty")
+        self.operations += 1
+        self._n -= 1
+        self._after_delete()
+
+
+class DynamicThresholdDict(_CutoffScheme, ThresholdedDict):
+    """``ThresholdedDict`` whose cutoff N follows the scheme step.
+
+    A due rebuild moves every rank to the new N and relinks the tree
+    (``ThresholdedDict.rebuild``), so the tree is a function of (contents,
+    seed, N); beside it the dict holds only N, the scheme and its RNG,
+    ``random.Random(scheme_seed)``.  The tree rejects a bad f or key before
+    the step, so a rejected update draws nothing.
     """
 
     def __init__(self, seed: int, scheme: str = "whi", scheme_seed: int = 0):
-        self._attach(seed, CutoffSimulator(scheme, random.Random(scheme_seed)))
+        ZipZipTree.__init__(self, seed)
+        _CutoffScheme.__init__(self, scheme, random.Random(scheme_seed))
+
+    def insert(self, key, f: float = 0.0, payload: Optional[bytes] = None):
+        # the shape depends only on the (key, weight) set, so a rebuild
+        # applied after the insert equals one applied before it
+        _PrecedenceTree.insert(self, key, f, payload)
+        self._after_insert()
+
+    def delete(self, key):
+        _PrecedenceTree.delete(self, key)
+        self._after_delete()
 
 
 def counterexample_structures(seed: int = 0):

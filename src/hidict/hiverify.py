@@ -125,8 +125,9 @@ def whi_check(structure_factory: Callable[[int], object], target_n: int,
     """Weak-HI distributional check over the cutoff marginal.
 
     ``structure_factory(scheme_seed)`` builds an empty structure exposing
-    ``insert``/``delete`` and the cutoff ``N``; each strategy drives
-    it from empty to the same target content set.  Reports the maximum
+    ``insert``/``delete``, the size ``n`` and the cutoff ``N``; each
+    strategy drives it from empty to the same target content set, of
+    ``target_n`` keys (a ValueError otherwise).  Reports the maximum
     pairwise TV distance between the strategies' empirical N distributions.
     """
     if len(strategies) < 2:
@@ -137,6 +138,9 @@ def whi_check(structure_factory: Callable[[int], object], target_n: int,
         for i in range(samples):
             obj = structure_factory(seed * 1_000_003 + s_idx * samples + i)
             strategy(obj)
+            if obj.n != target_n:
+                raise ValueError("strategy %d ends at n=%d, not target_n=%d"
+                                 % (s_idx, obj.n, target_n))
             counts[obj.N] += 1
         distributions.append(counts)
     worst = 0.0

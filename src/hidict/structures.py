@@ -471,8 +471,6 @@ class AVLTree(_BST):
 
     A node's ``rank`` holds the height of its subtree."""
 
-    kind = "avl"
-
     def __init__(self, seed: int = 0):
         super().__init__(seed)  # seed unused; uniform constructor signature
 

@@ -3,7 +3,9 @@
 Rewriting frequencies this way keeps the weight sum at or below 1 whenever
 the raw frequencies do, preserves O(log 1/f) retrieval for well-predicted
 keys, and floors every weight so no key can be pushed deeper than
-O(log capacity) by an adversarial estimate.
+O(log capacity) by an adversarial estimate.  ``ThresholdedDict`` is a
+zip-zip tree that draws its ranks at these weights for a cutoff N, its
+capacity; ``dynamics.DynamicThresholdDict`` moves N with the dict's size.
 """
 
 from __future__ import annotations
@@ -37,57 +39,28 @@ def threshold_array(f: np.ndarray, capacity: int) -> np.ndarray:
     return np.maximum(f / 2.0, 1.0 / (2.0 * capacity))
 
 
-class FixedCutoff:
-    """Cutoff policy of a static-capacity dict: N never moves.
-
-    Exposes the cutoff-policy interface: ``n``, ``N``, ``insert()`` and
-    ``delete()`` (each returns True when a rebuild at ``N`` is due), and the
-    fingerprint ``header()``.
-    """
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1, got %r" % (capacity,))
-        self.n = 0
-        self.N = capacity
-
-    def insert(self) -> bool:
-        if self.n >= self.N:
-            raise CapacityError("capacity %d exceeded" % self.N)
-        self.n += 1
-        return False
-
-    def delete(self) -> bool:
-        self.n -= 1
-        return False
-
-    def header(self) -> bytes:
-        return b"threshold;cap=%d;" % self.N
+def _valid_cutoff(N) -> int:
+    """N itself when it is a valid cutoff: exactly an int, at least 1."""
+    if type(N) is not int or N < 1:
+        raise ValueError("cutoff must be an int >= 1, got %r" % (N,))
+    return N
 
 
 class ThresholdedDict(ZipZipTree):
     """Biased zip-zip tree whose ranks are drawn at thresholded frequencies.
 
     A node's ``weight`` holds its key's raw frequency f and its rank is
-    drawn at ``threshold(f, N)``; ``rebuild`` moves ``N`` to the policy's
-    cutoff, fixed at ``capacity`` here, dynamic in ``DynamicThresholdDict``.
-    The tree is the dict's whole per-key state.  Reads are the tree's own.
-    Updates call the engine by class (``_PrecedenceTree.insert(self, ...)``):
-    on CPython 3.11 a zero-argument ``super()`` call made deletes about 8%
-    slower.
+    drawn at ``threshold(f, N)``.  Here ``N`` is the capacity: an insert
+    that would hold more than N keys is taken back out.  ``rebuild`` moves
+    every rank to a new N.  The tree is the dict's whole per-key state.
+    Reads and ``delete`` are the tree's own; updates call the engine by
+    class (``_PrecedenceTree.insert(self, ...)``): on CPython 3.11 a
+    zero-argument ``super()`` call made deletes about 8% slower.
     """
 
     def __init__(self, seed: int, capacity: int):
-        self._attach(seed, FixedCutoff(capacity))
-
-    def _attach(self, seed: int, policy):
         ZipZipTree.__init__(self, seed)
-        self.policy = policy
-        self.N = policy.N
-
-    @property
-    def n(self) -> int:
-        return self._n
+        self.N = _valid_cutoff(capacity)
 
     def _rank(self, key, f):
         return ZipZipTree._rank(self, key, threshold(f, self.N))
@@ -102,37 +75,25 @@ class ThresholdedDict(ZipZipTree):
         moved from the old cutoff's weights to N's, so a rebuild hashes no
         key and allocates no node; the result equals a fresh build at N.
         """
+        _valid_cutoff(N)
         old = self.N
         nodes = list(self._inorder())
         for node in nodes:
             f = node.weight
             node.rank = zz_rerank(node.rank, threshold(f, old), threshold(f, N))
-        self.N = self.policy.N = N
+        self.N = N
         self._link_sorted(nodes)
 
     def insert(self, key, f: float = 0.0, payload: Optional[bytes] = None):
-        # _rank validates f, and the tree the key, before the policy changes
+        # the tree rejects a bad f or key before the capacity is checked
         _PrecedenceTree.insert(self, key, f, payload)
-        try:
-            rebuild_due = self.policy.insert()
-        except CapacityError:
+        if self._n > self.N:
             _PrecedenceTree.delete(self, key)
-            raise
-        # the shape depends only on the (key, weight) set, so a rebuild
-        # applied after the insert equals one applied before it
-        if rebuild_due:
-            self.rebuild(self.policy.N)
-
-    def delete(self, key):
-        _PrecedenceTree.delete(self, key)
-        if self.policy.delete():
-            self.rebuild(self.policy.N)
-        elif not self._n:  # an emptied dynamic policy resets N, no rebuild due
-            self.N = self.policy.N
+            raise CapacityError("capacity %d exceeded" % self.N)
 
     def load_sorted(self, entries):
-        # ranks and rebuilds follow the cutoff policy, which
-        # counts (and, when dynamic, draws) per insert
+        # the inherited load checks no capacity, and in a dynamic dict it
+        # would skip the scheme step (and its draws) of every insert
         raise TypeError("a thresholded dict is filled by insert, not load_sorted")
 
     def raw_frequency(self, key) -> float:
@@ -147,5 +108,8 @@ class ThresholdedDict(ZipZipTree):
         # in key order, so the float depends on the contents alone
         return sum(threshold(node.weight, self.N) for node in self._inorder())
 
+    def header(self) -> bytes:
+        return b"threshold;cap=%d;" % self.N
+
     def fingerprint(self) -> bytes:
-        return self.policy.header() + _PrecedenceTree.fingerprint(self)
+        return self.header() + _PrecedenceTree.fingerprint(self)

@@ -20,7 +20,6 @@ class WorkloadSpec:
     alpha: float
     delta: float
     queries: int = 100_000
-    seed: int = 0
 
     def base_frequencies(self) -> np.ndarray:
         if self.dist == "zipfian":

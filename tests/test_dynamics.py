@@ -223,7 +223,7 @@ def test_rebuild_equals_fresh_sorted_build(monkeypatch):
             ref = ZipZipTree(case)
             for k in sorted(freqs):
                 ref.insert(k, threshold(freqs[k], N), payloads[k])
-            assert d.fingerprint() == d.policy.header() + ref.fingerprint()
+            assert d.fingerprint() == d.header() + ref.fingerprint()
             assert d.N == N and len(d) == len(freqs)
             d.check_invariants()
 
@@ -269,6 +269,17 @@ def test_dynamic_dict_empty_reset():
     a.insert(1, 0.5)
     a.delete(1)
     assert a.N == AMORTIZED_INITIAL_CUTOFF
+    # grown past n == N and emptied: the shrink rules end at N = 2 for
+    # n = 1, so only the reset brings N back
+    sim = CutoffSimulator("amortized", random.Random(0))
+    for k in range(1, 5):
+        a.insert(k, 0.5)
+        sim.insert()
+    assert a.N == sim.N == 16
+    for k in range(1, 5):
+        a.delete(k)
+        sim.delete()
+    assert a.N == sim.N == AMORTIZED_INITIAL_CUTOFF
 
 
 def test_simulator_validates_scheme():
@@ -301,7 +312,7 @@ def test_invalid_frequency_leaves_no_trace(scheme, bad):
     with pytest.raises(MissingKeyError):
         d.delete(2)
     # the bad insert consumed no scheme draw: both dicts keep evolving alike
-    assert d.policy.rng.getstate() == twin.policy.rng.getstate()
+    assert d.rng.getstate() == twin.rng.getstate()
     for k in range(5, 40):
         d.insert(k, 0.01)
         twin.insert(k, 0.01)
@@ -313,7 +324,16 @@ def test_invalid_frequency_leaves_no_trace(scheme, bad):
 
 
 @pytest.mark.parametrize("scheme", ["whi", "amortized"])
-def test_dict_matches_simulator_and_fresh_build(scheme):
+def test_dict_matches_simulator_and_fresh_build(scheme, monkeypatch):
+    # the size at each of the dict's rebuilds: what it relinks
+    moved = []
+    rebuild = DynamicThresholdDict.rebuild
+
+    def counting(self, N):
+        moved.append(len(self))
+        return rebuild(self, N)
+
+    monkeypatch.setattr(DynamicThresholdDict, "rebuild", counting)
     d = DynamicThresholdDict(21, scheme=scheme, scheme_seed=17)
     sim = CutoffSimulator(scheme, random.Random(17))
     rng = random.Random(99)
@@ -332,9 +352,43 @@ def test_dict_matches_simulator_and_fresh_build(scheme):
             d.delete(k)
             sim.delete()
         assert (d.n, d.N) == (sim.n, sim.N)
-    assert d.policy.rebuilds == sim.rebuilds > 10
+    assert len(moved) == sim.rebuilds > 10
+    assert sum(moved) == sim.key_moves
     fresh = DynamicThresholdDict(21, scheme=scheme, scheme_seed=0)
     for k in sorted(present):
         fresh.insert(k, *present[k])
     fresh.rebuild(d.N)
     assert d.fingerprint() == fresh.fingerprint()
+
+
+def _resident_attributes(obj, path="d"):
+    """Every attribute reachable from ``obj`` through hidict objects, other
+    than the tree's nodes and a ``random.Random``'s state."""
+    found = {}
+    for name, value in vars(obj).items():
+        where = "%s.%s" % (path, name)
+        if name == "_root" or isinstance(value, random.Random):
+            continue
+        if type(value).__module__.startswith("hidict."):
+            found.update(_resident_attributes(value, where))
+        else:
+            found[where] = value
+    return found
+
+
+@pytest.mark.parametrize("scheme", ["whi", "amortized"])
+def test_detours_leave_no_trace_beside_the_tree(scheme):
+    # keys 1..5 reached directly and with 50 insert/delete detours, then
+    # compared at one N: nothing the dict holds may count the detours
+    direct = DynamicThresholdDict(4, scheme=scheme, scheme_seed=8)
+    detoured = DynamicThresholdDict(4, scheme=scheme, scheme_seed=8)
+    for k in range(1, 6):
+        direct.insert(k, 0.125)
+        detoured.insert(k, 0.125)
+        for extra in range(100 + 10 * k, 110 + 10 * k):
+            detoured.insert(extra, 0.25)
+            detoured.delete(extra)
+    detoured.rebuild(direct.N)
+    assert _resident_attributes(detoured) == _resident_attributes(direct)
+    assert set(vars(detoured)) == {"_root", "_n", "seed", "N", "scheme", "rng"}
+    assert detoured.fingerprint() == direct.fingerprint()

@@ -133,16 +133,25 @@ DictionaryContract.TestCase.settings = settings(max_examples=100, stateful_step_
 test_dictionary_contract = DictionaryContract.TestCase
 
 
-def test_rebuild_then_empty_then_refill():
-    # the amortized policy squares N at n == 4 and resets it, with no
+def test_rebuild_then_empty_then_refill(monkeypatch):
+    # the amortized scheme squares N at n == 4 and resets it, with no
     # rebuild due, when the dict empties; the refill must draw its ranks at
     # the reset N
     machine = DictionaryContract()
     amortized = machine.structs["dynamic-amortized"]
+    rebuilds = []
+    rebuild = DynamicThresholdDict.rebuild
+
+    def counting(self, N):
+        if self is amortized:
+            rebuilds.append(N)
+        return rebuild(self, N)
+
+    monkeypatch.setattr(DynamicThresholdDict, "rebuild", counting)
     for k in range(1, 6):
         machine.insert(k, 0.125, b"p")
         machine.equals_fresh_sorted_build()
-    assert amortized.policy.rebuilds == 1
+    assert rebuilds == [16]
     for k in range(1, 6):
         machine.delete(k)
         machine.equals_fresh_sorted_build()

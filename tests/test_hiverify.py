@@ -78,6 +78,14 @@ def test_whi_check_requires_two_strategies():
                   [pure_insert_strategy(8)])
 
 
+def test_whi_check_rejects_a_strategy_off_target_n():
+    # N distributions at different sizes are not comparable; the second
+    # strategy overshoots by one key
+    with pytest.raises(ValueError):
+        whi_check(lambda s: CutoffSimulator("whi", random.Random(s)), 8, 10,
+                  [pure_insert_strategy(8), pure_insert_strategy(9)])
+
+
 def _whi_factory(s):
     return CutoffSimulator("whi", random.Random(s))
 

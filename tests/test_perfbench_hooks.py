@@ -10,7 +10,7 @@ import importlib.util
 import random
 from pathlib import Path
 
-from hidict.dynamics import DynamicThresholdDict
+from hidict.dynamics import CutoffSimulator, DynamicThresholdDict
 
 
 def _spans():
@@ -39,6 +39,7 @@ def test_rebuild_hook_sees_every_due_rebuild(monkeypatch):
 
     monkeypatch.setattr(DynamicThresholdDict, "rebuild", counting)
     d = DynamicThresholdDict(5, scheme="whi", scheme_seed=6)
+    sim = CutoffSimulator("whi", random.Random(6))
     rng = random.Random(7)
     present = set()
     emptied = 0
@@ -49,9 +50,11 @@ def test_rebuild_hook_sees_every_due_rebuild(monkeypatch):
             k = rng.randint(1, 10_000)
             if k not in present:
                 d.insert(k, rng.random() / 100)
+                sim.insert()
                 present.add(k)
         else:
             d.delete(present.pop())
+            sim.delete()
             emptied += not present
     assert emptied >= 1
-    assert len(calls) == d.policy.rebuilds > 10
+    assert len(calls) == sim.rebuilds > 10

@@ -527,11 +527,13 @@ def test_load_sorted_rejects_bad_entries_and_changes_nothing(cls):
 
 
 def test_thresholded_dict_rejects_load_sorted():
-    # its weights and rebuilds follow the cutoff policy, which counts inserts
-    for d in (ThresholdedDict(4, 8), DynamicThresholdDict(4, scheme="whi")):
+    # the inherited load would check no capacity and skip the scheme step
+    for make in (lambda: ThresholdedDict(4, 8), lambda: DynamicThresholdDict(4, scheme="whi")):
+        d, fresh = make(), make()
         with pytest.raises(TypeError):
             d.load_sorted([(1, 0.5, None)])
-        assert len(d) == 0 and d.policy.n == 0
+        assert len(d) == 0 and d.N == fresh.N and d.fingerprint() == fresh.fingerprint()
+    assert d.rng.getstate() == fresh.rng.getstate()
 
 
 def test_paired_dict_rejects_load_sorted():
@@ -606,9 +608,9 @@ def test_duplicate_insert_leaves_no_trace(make, where):
         assert rank_at(key, new_f) < _search_path(d, key)[-1].rank
 
     def state():
-        rng = d.policy.rng.getstate() if hasattr(d.policy, "rng") else None
+        rng = d.rng.getstate() if hasattr(d, "rng") else None
         freqs = {k: d.raw_frequency(k) for k in d.keys()}
-        return d.fingerprint(), len(d), freqs, (d.policy.n, d.N), rng
+        return d.fingerprint(), len(d), freqs, d.N, rng
 
     before = state()
     with pytest.raises(DuplicateKeyError):
@@ -674,10 +676,9 @@ def test_unsupported_key_types_rejected_before_any_change(name):
     s = KEYED_STRUCTURES[name]()
     for k in (1, 2, 3):
         s.insert(k, 0.25)
-    policy = getattr(s, "policy", None)
 
     def state():
-        rng = policy.rng.getstate() if hasattr(policy, "rng") else None
+        rng = s.rng.getstate() if hasattr(s, "rng") else None
         return len(s), s.fingerprint(), rng
 
     before = state()

@@ -102,6 +102,28 @@ def test_capacity_overflow_is_hard_error():
     assert d.keys() == [1, 2] and 3 not in d and len(d) == 2
 
 
+@pytest.mark.parametrize("bad", [0, -3, 2.5, 2.0, True])
+def test_cutoff_is_an_int_at_least_one(bad):
+    with pytest.raises(ValueError):
+        ThresholdedDict(1, bad)
+    with pytest.raises(ValueError):
+        PairedDict(1, capacity=bad)
+    for make in (lambda: ThresholdedDict(1, 4),
+                 lambda: DynamicThresholdDict(1, scheme="whi", scheme_seed=2)):
+        for keys in ((), (1, 2, 3)):
+            d, twin = make(), make()
+            for k in keys:
+                d.insert(k, 0.1)
+                twin.insert(k, 0.1)
+            with pytest.raises(ValueError):
+                d.rebuild(bad)
+            assert (d.N, d.fingerprint()) == (twin.N, twin.fingerprint())
+            # the dict still takes keys at its old cutoff
+            d.insert(4, 0.1)
+            twin.insert(4, 0.1)
+            assert d.fingerprint() == twin.fingerprint()
+
+
 def test_duplicate_and_missing():
     d = ThresholdedDict(0, 4)
     d.insert(1, 0.5)
