@@ -15,15 +15,16 @@ from typing import Optional
 import numpy as np
 
 from .core import CapacityError, MissingKeyError
-from .structures import ZipZipTree, _PrecedenceTree, zz_rerank
+from .structures import ZipZipTree, _PrecedenceTree, _weight_level, zz_rerank
 
 
 def threshold(f: float, capacity: int) -> float:
-    """Thresholded frequency for one key."""
+    """Thresholded frequency for one key; ``capacity`` is an int >= 1."""
     if not 0.0 <= f <= 1.0:
         raise ValueError("frequency must be in [0, 1], got %r" % (f,))
-    if capacity < 1:
-        raise ValueError("capacity must be >= 1, got %r" % (capacity,))
+    # inline, not _valid_cutoff: this runs on every insert and fingerprinted node
+    if type(capacity) is not int or capacity < 1:
+        raise ValueError("capacity must be an int >= 1, got %r" % (capacity,))
     # not max(): its call doubles the cost per key of rebuilds and fingerprints
     half, floor = f / 2.0, 1.0 / (2.0 * capacity)
     return half if half > floor else floor
@@ -32,8 +33,8 @@ def threshold(f: float, capacity: int) -> float:
 def threshold_array(f: np.ndarray, capacity: int) -> np.ndarray:
     """Vectorized threshold over a frequency vector."""
     f = np.asarray(f, dtype=float)
-    if capacity < 1:
-        raise ValueError("capacity must be >= 1, got %r" % (capacity,))
+    if type(capacity) is not int or capacity < 1:
+        raise ValueError("capacity must be an int >= 1, got %r" % (capacity,))
     if f.size and (f.min() < 0.0 or f.max() > 1.0):
         raise ValueError("frequencies must be in [0, 1]")
     return np.maximum(f / 2.0, 1.0 / (2.0 * capacity))
@@ -71,17 +72,32 @@ class ThresholdedDict(ZipZipTree):
     def rebuild(self, N: int):
         """Re-threshold every key at cutoff N and relink the tree in O(n).
 
-        The tree's own nodes are relinked in key order with their ranks
-        moved from the old cutoff's weights to N's, so a rebuild hashes no
-        key and allocates no node; the result equals a fresh build at N.
+        A rank's weight level is ``max(level(f/2), level(1/(2N)))``, so a
+        rebuild that keeps the floor level of ``1/(2N)`` moves no rank and
+        only sets N.  Otherwise the tree's own nodes are relinked in key
+        order: keys above both floors keep their ranks, keys below both
+        shift by the change of floor level, and only those in between go
+        through ``zz_rerank``.  A rebuild hashes no key and allocates no
+        node; the result equals a fresh build at N.
         """
         _valid_cutoff(N)
-        old = self.N
+        old, self.N = self.N, N
+        was = _weight_level(threshold(0.0, old))
+        now = _weight_level(threshold(0.0, N))
+        if was == now:
+            return
+        # f >= top iff f/2 >= 2**max(was, now); f < bottom iff f/2 < 2**min
+        top = 2.0 ** (max(was, now) + 1)
+        bottom = 2.0 ** (min(was, now) + 1)
+        shift = now - was
         nodes = list(self._inorder())
         for node in nodes:
             f = node.weight
-            node.rank = zz_rerank(node.rank, threshold(f, old), threshold(f, N))
-        self.N = N
+            if f < bottom:
+                r1, r2 = node.rank
+                node.rank = (r1 + shift, r2)
+            elif f < top:
+                node.rank = zz_rerank(node.rank, threshold(f, old), threshold(f, N))
         self._link_sorted(nodes)
 
     def insert(self, key, f: float = 0.0, payload: Optional[bytes] = None):

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -19,7 +20,8 @@ from hidict.dynamics import (
     whi_before_insert,
 )
 from hidict.structures import ZipZipTree
-from hidict.thresholding import threshold
+from hidict.thresholding import ThresholdedDict, threshold
+from hidict.workloads import zipf_frequencies
 
 
 # ------------------------------------------------------- amortized scheme
@@ -226,6 +228,78 @@ def test_rebuild_equals_fresh_sorted_build(monkeypatch):
             assert d.fingerprint() == d.header() + ref.fingerprint()
             assert d.N == N and len(d) == len(freqs)
             d.check_invariants()
+
+
+def _floor_level(N):
+    return math.floor(math.log2(threshold(0.0, N)))
+
+
+def _boundary_frequencies():
+    # 0, 1, exact powers of two and their neighbours, around every floor
+    # 1/(2N) the cutoffs below reach
+    out = {0.0, 1.0, math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0)}
+    for e in range(1, 14):
+        p = 2.0 ** -e
+        out.update((p, math.nextafter(p, 0.0), math.nextafter(p, 1.0)))
+    return sorted(out)
+
+
+def test_rebuild_boundaries_equal_fresh_build_and_keep_unmoved_ranks():
+    cutoffs = [1]
+    for k in range(1, 12):
+        cutoffs += [2 ** k - 1, 2 ** k, 2 ** k + 1]
+    cutoffs += [3, 2048, 2, 1025, 1, 64, 63, 65, 4095, 5, 1]
+    freqs = _boundary_frequencies()
+    for seed in range(3):
+        d = DynamicThresholdDict(seed, scheme="whi", scheme_seed=seed)
+        for k, f in enumerate(freqs):
+            d.insert(k, f)
+        for N in cutoffs:
+            was, now = _floor_level(d.N), _floor_level(N)
+            ranks = {node.key: node.rank for node in d._inorder()}
+            d.rebuild(N)
+            ref = ZipZipTree(seed)
+            for k, f in enumerate(freqs):
+                ref.insert(k, threshold(f, N))
+            assert d.fingerprint() == d.header() + ref.fingerprint(), (N, was, now)
+            # a rank that does not move keeps its object
+            for node in d._inorder():
+                if was == now or node.weight / 2 >= 2.0 ** max(was, now):
+                    assert node.rank is ranks[node.key], (N, node.weight)
+            d.check_invariants()
+
+
+def _rebuild_calls(d, N):
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(profile)
+    d.rebuild(N)
+    sys.setprofile(None)
+    return calls
+
+
+def test_rebuild_calls_only_what_the_new_cutoff_moves():
+    # Python calls per rebuild (profile ``call`` events, no clock) on n
+    # keys drawn from a Zipf universe of 4n, as in churn-whi; a key whose
+    # f/2 lies between the old and the new floor costs a zz_rerank
+    same_level = {}
+    for n in (64, 4096):
+        freqs = zipf_frequencies(4 * n, 1.0).tolist()
+        d = ThresholdedDict(1, 2 * n)
+        for k in random.Random(n).sample(range(4 * n), n):
+            d.insert(k, freqs[k])
+        # 1/(2(2n-1)) and 1/(4n) share a floor level; 1/(8n) and 1/(2n) do not
+        assert _floor_level(2 * n - 1) == _floor_level(2 * n)
+        same_level[n] = _rebuild_calls(d, 2 * n - 1)
+        for N in (4 * n, n):
+            assert _floor_level(N) != _floor_level(d.N)
+            assert _rebuild_calls(d, N) <= 2 * n, (n, N)
+    assert same_level[64] == same_level[4096] <= 8, same_level
 
 
 def test_post_rebuild_weight_sum():

@@ -7,10 +7,12 @@ per-layer counts, so these tests pin the names and the rebuild count.
 """
 
 import importlib.util
+import math
 import random
 from pathlib import Path
 
 from hidict.dynamics import CutoffSimulator, DynamicThresholdDict
+from hidict.thresholding import threshold
 
 
 def _spans():
@@ -34,7 +36,7 @@ def test_rebuild_hook_sees_every_due_rebuild(monkeypatch):
     rebuild = DynamicThresholdDict.rebuild
 
     def counting(self, N):
-        calls.append(N)
+        calls.append((self.N, N))
         return rebuild(self, N)
 
     monkeypatch.setattr(DynamicThresholdDict, "rebuild", counting)
@@ -58,3 +60,10 @@ def test_rebuild_hook_sees_every_due_rebuild(monkeypatch):
             emptied += not present
     assert emptied >= 1
     assert len(calls) == sim.rebuilds > 10
+
+    # a rebuild that keeps the floor level of 1/(2N) moves no rank, and
+    # it still reaches the hooked method
+    def level(N):
+        return math.floor(math.log2(threshold(0.0, N)))
+
+    assert any(level(old) == level(new) for old, new in calls)

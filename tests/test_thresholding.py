@@ -64,6 +64,16 @@ def test_threshold_array_matches_scalar():
         threshold_array(np.array([1.5]), 10)
 
 
+@pytest.mark.parametrize("bad", [0, -3, 2.5, 2.0, True, np.int64(4)])
+def test_threshold_takes_only_an_int_cutoff(bad):
+    # the cutoff contract of the dicts: a float or bool cutoff once gave
+    # threshold(0.5, 2.5) == 0.25 and threshold(0.5, True) == 0.5
+    with pytest.raises(ValueError):
+        threshold(0.5, bad)
+    with pytest.raises(ValueError):
+        threshold_array(np.array([0.5]), bad)
+
+
 def test_wrap_insert_uniform_raw_frequencies():
     n = 16
     d = ThresholdedDict(0, n)
