@@ -40,13 +40,25 @@ def _key_bytes(key) -> bytes:
     kind = type(key)
     if kind is int:
         # sign byte + magnitude keeps distinct ints distinct
-        mag = abs(key)
-        return bytes([0 if key >= 0 else 1]) + mag.to_bytes((mag.bit_length() + 7) // 8 or 1, "big")
+        if key < 0:
+            key = -key
+            return b"\x01" + key.to_bytes((key.bit_length() + 7) // 8 or 1, "big")
+        return b"\x00" + key.to_bytes((key.bit_length() + 7) // 8 or 1, "big")
     if kind is bytes:
         return b"b" + key
     if kind is str:
         return b"s" + key.encode("utf-8")
     raise key_type_error(key)
+
+
+def keyed_hasher(seed: int):
+    """The oracle's blake2b keyed by ``seed``, before any input.
+
+    A tree keeps one and never feeds it: a copy fed a key's bytes and
+    then a stream byte digests to ``oracle_value(seed, key, stream)``, so
+    the key schedule is hashed once per tree, not once per draw.
+    """
+    return hashlib.blake2b(digest_size=8, key=(seed & MASK64).to_bytes(8, "little"))
 
 
 def oracle_value(seed: int, key, stream: int = 0) -> int:
@@ -55,7 +67,8 @@ def oracle_value(seed: int, key, stream: int = 0) -> int:
     Acts as a keyed pseudorandom function: with the seed kept private,
     the per-key values look uniform and independent across streams.
     Not cryptographic-strength by contract, but blake2b gives us that
-    for free.
+    for free.  It keys its own hasher, not ``keyed_hasher``'s, so it
+    stays the reference the trees' hashers are tested against.
     """
     h = hashlib.blake2b(digest_size=8, key=(seed & MASK64).to_bytes(8, "little"))
     h.update(_key_bytes(key))
@@ -82,7 +95,7 @@ def geometric_from_bits(bits: int) -> int:
 
 def derive_seed(master: int, *parts) -> int:
     """Derive an independent 64-bit child seed from a master seed and labels."""
-    h = hashlib.blake2b(digest_size=8, key=(master & MASK64).to_bytes(8, "little"))
+    h = keyed_hasher(master)
     for part in parts:
         h.update(repr(part).encode("utf-8"))
         h.update(b"\x00")

@@ -24,8 +24,10 @@ from .core import (
     MissingKeyError,
     ComparisonTally,
     KEY_TYPES,
+    _key_bytes,
     geometric_from_bits,
     key_type_error,
+    keyed_hasher,
     oracle_uniform,
     oracle_value,
 )
@@ -62,11 +64,26 @@ def zz_rank(seed: int, key, weight: float, stream: int = 0):
     which is what yields O(log W/w) retrieval depth.  The two draws use
     oracle streams ``stream`` and ``stream + 1``.
     """
+    return _zz_rank_keyed(keyed_hasher(seed), key, weight, stream)
+
+
+# the oracle's stream byte, by stream mod 256
+_STREAM_BYTE = tuple(bytes((s,)) for s in range(256))
+
+
+def _zz_rank_keyed(keyed, key, weight: float, stream: int):
+    """``zz_rank`` over ``keyed``, the seed's ``keyed_hasher``, which is
+    copied and not fed: the key is encoded and fed once, and that state is
+    copied for the second stream."""
     if not 0 < weight < math.inf:
         raise ValueError("weight must be positive and finite, got %r" % (weight,))
-    r1 = _weight_level(weight) + geometric_from_bits(oracle_value(seed, key, stream))
-    r2 = oracle_value(seed, key, stream + 1) & 0xFFFFFFFF
-    return (r1, r2)
+    h = keyed.copy()
+    h.update(_key_bytes(key))
+    tie = h.copy()
+    h.update(_STREAM_BYTE[stream & 0xFF])
+    tie.update(_STREAM_BYTE[(stream + 1) & 0xFF])
+    r1 = _weight_level(weight) + geometric_from_bits(int.from_bytes(h.digest(), "little"))
+    return (r1, int.from_bytes(tie.digest(), "little") & 0xFFFFFFFF)
 
 
 def _weight_level(weight: float) -> int:
@@ -424,14 +441,20 @@ class ZipZipTree(_PrecedenceTree):
 
     ``_stream`` is the first oracle stream of the rank draws; a subclass
     that moves it (the paired dict's fallback side) gets rank draws
-    independent of a tree over the same keys and seed.
+    independent of a tree over the same keys and seed.  Ranks come from
+    ``_hasher``, the seed's ``keyed_hasher``, built once per tree; its
+    state is a function of the seed alone.
     """
 
     kind = "zipzip"
     _stream = 0
 
+    def __init__(self, seed: int):
+        _BST.__init__(self, seed)
+        self._hasher = keyed_hasher(seed)
+
     def _rank(self, key, weight):
-        return zz_rank(self.seed, key, weight, self._stream)
+        return _zz_rank_keyed(self._hasher, key, weight, self._stream)
 
 
 class LTreap(_PrecedenceTree):

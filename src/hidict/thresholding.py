@@ -70,7 +70,15 @@ class ThresholdedDict(ZipZipTree):
         return threshold(f, self.N)
 
     def rebuild(self, N: int):
-        """Re-threshold every key at cutoff N and relink the tree in O(n).
+        """Re-threshold every key at a new capacity N (``_rethreshold``).
+        An N below the size raises ``CapacityError`` and changes nothing."""
+        if _valid_cutoff(N) < self._n:
+            raise CapacityError("capacity %d is below the size %d" % (N, self._n))
+        self._rethreshold(N)
+
+    def _rethreshold(self, N: int):
+        """Re-threshold every key at a valid cutoff N and relink the tree
+        in O(n).
 
         A rank's weight level is ``max(level(f/2), level(1/(2N)))``, so a
         rebuild that keeps the floor level of ``1/(2N)`` moves no rank and
@@ -80,7 +88,6 @@ class ThresholdedDict(ZipZipTree):
         through ``zz_rerank``.  A rebuild hashes no key and allocates no
         node; the result equals a fresh build at N.
         """
-        _valid_cutoff(N)
         old, self.N = self.N, N
         was = _weight_level(threshold(0.0, old))
         now = _weight_level(threshold(0.0, N))

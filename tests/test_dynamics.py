@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import sys
@@ -7,7 +8,7 @@ import pytest
 from scipy import stats
 
 import hidict.structures
-from hidict.core import DuplicateKeyError, MissingKeyError
+from hidict.core import DuplicateKeyError, MissingKeyError, keyed_hasher
 from hidict.dynamics import (
     AMORTIZED_INITIAL_CUTOFF,
     CutoffSimulator,
@@ -19,6 +20,7 @@ from hidict.dynamics import (
     whi_after_delete,
     whi_before_insert,
 )
+from hidict.pairing import PairedDict
 from hidict.structures import ZipZipTree
 from hidict.thresholding import ThresholdedDict, threshold
 from hidict.workloads import zipf_frequencies
@@ -195,16 +197,28 @@ def test_rebuild_rethresholds_weights():
     assert weights[1] == 1.0 / 32  # max(0, 1/(2*16))
 
 
+class _CountingHasher:
+    """Stands in for a tree's keyed hasher and counts the copies ranks take."""
+
+    def __init__(self, hasher):
+        self.hasher = hasher
+        self.copies = 0
+
+    def copy(self):
+        self.copies += 1
+        return self.hasher.copy()
+
+
 def test_rebuild_equals_fresh_sorted_build(monkeypatch):
     # 1/(2N) crosses powers of two between neighbouring N, so the floor
     # weight's rank level moves up and down across the sequence
     cutoffs = [1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65, 1023, 1024, 1025, 5, 300, 2]
-    calls = []
-    real_oracle = hidict.structures.oracle_value
+    encoded = []
+    real_key_bytes = hidict.structures._key_bytes
 
-    def counting_oracle(*args):
-        calls.append(args)
-        return real_oracle(*args)
+    def counting_key_bytes(key):
+        encoded.append(key)
+        return real_key_bytes(key)
 
     rng = random.Random(31)
     for case in range(12):
@@ -214,12 +228,15 @@ def test_rebuild_equals_fresh_sorted_build(monkeypatch):
             freqs[k] = rng.choice([0.0, 1e-9, 1e-4, 0.05, rng.random(), 1.0])
             d.insert(k, freqs[k], rng.choice([None, b"p%d" % k]))
         payloads = dict(d.items())
+        # a rank through the tree copies its hasher; any rank, zz_rank's
+        # too, encodes its key
+        d._hasher = hasher = _CountingHasher(d._hasher)
         for N in cutoffs:
             nodes = list(d._inorder())
-            monkeypatch.setattr(hidict.structures, "oracle_value", counting_oracle)
+            monkeypatch.setattr(hidict.structures, "_key_bytes", counting_key_bytes)
             d.rebuild(N)
             monkeypatch.undo()
-            assert calls == []
+            assert (encoded, hasher.copies) == ([], 0)
             # relinked in place: the same node objects, none allocated
             assert all(a is b for a, b in zip(nodes, d._inorder()))
             ref = ZipZipTree(case)
@@ -437,7 +454,8 @@ def test_dict_matches_simulator_and_fresh_build(scheme, monkeypatch):
 
 def _resident_attributes(obj, path="d"):
     """Every attribute reachable from ``obj`` through hidict objects, other
-    than the tree's nodes and a ``random.Random``'s state."""
+    than the tree's nodes and a ``random.Random``'s state; a keyed hasher
+    is given by its state, the digest of a copy."""
     found = {}
     for name, value in vars(obj).items():
         where = "%s.%s" % (path, name)
@@ -445,6 +463,8 @@ def _resident_attributes(obj, path="d"):
             continue
         if type(value).__module__.startswith("hidict."):
             found.update(_resident_attributes(value, where))
+        elif isinstance(value, hashlib.blake2b):
+            found[where] = value.copy().digest()
         else:
             found[where] = value
     return found
@@ -464,5 +484,34 @@ def test_detours_leave_no_trace_beside_the_tree(scheme):
             detoured.delete(extra)
     detoured.rebuild(direct.N)
     assert _resident_attributes(detoured) == _resident_attributes(direct)
-    assert set(vars(detoured)) == {"_root", "_n", "seed", "N", "scheme", "rng"}
+    assert set(vars(detoured)) == {"_root", "_n", "seed", "N", "scheme", "rng", "_hasher"}
     assert detoured.fingerprint() == direct.fingerprint()
+
+
+@pytest.mark.parametrize("make", [
+    lambda seed: ZipZipTree(seed),
+    lambda seed: ThresholdedDict(seed, 2000),
+    lambda seed: DynamicThresholdDict(seed, scheme="whi", scheme_seed=3),
+    lambda seed: DynamicThresholdDict(seed, scheme="amortized", scheme_seed=3),
+    lambda seed: PairedDict(seed, capacity=2000),
+    lambda seed: PairedDict(seed),
+], ids=["zipzip", "threshold", "dynamic-whi", "dynamic-amortized", "paired-cap",
+        "paired"])
+def test_keyed_hashers_absorb_no_key(make):
+    # after 1,000 churn operations every tree's hasher is still the seed's
+    # freshly keyed one: a rank feeds copies, never the hasher itself
+    seed = -6
+    d = make(seed)
+    rng = random.Random(12)
+    live = set()
+    for _ in range(1000):
+        k = rng.randint(1, 300)
+        if k in live:
+            d.delete(k)
+            live.discard(k)
+        else:
+            d.insert(k, rng.choice([1e-6, 0.001, 0.5]))
+            live.add(k)
+    trees = [d, d.learned] if isinstance(d, PairedDict) else [d]
+    for tree in trees:
+        assert tree._hasher.digest() == keyed_hasher(seed).digest()

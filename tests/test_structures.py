@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import sys
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hidict.structures
 from hidict.core import (
     ComparisonTally,
     DuplicateKeyError,
@@ -71,6 +73,99 @@ def test_zz_rank_expected_value(w, expect):
 
 def test_zz_rank_deterministic():
     assert zz_rank(9, 77, 0.25) == zz_rank(9, 77, 0.25)
+
+
+def _reference_rank(seed, key, weight, stream):
+    # the rank's definition, on the independent oracle_value
+    return (math.floor(math.log2(weight)) + geometric_from_bits(oracle_value(seed, key, stream)),
+            oracle_value(seed, key, stream + 1) & 0xFFFFFFFF)
+
+
+# one key type per tree, since keys of one tree must compare
+_RANK_KEYS = (
+    [0, -1, -(2**70) - 3, 5, 255, 256, 2**64, 2**64 + 1],
+    ["", "a", "\xe9", "\u65e5\u672c", "na\xefve", "\U0001f600"],
+    [b"", b"\x00", b"\xff\x00", b"s", b"abc"],
+)
+_RANK_SEEDS = (0, -3, 2**64 + 5, 2**70 - 1)
+
+
+def test_zz_rank_equals_the_reference_oracle():
+    for seed in _RANK_SEEDS:
+        for keys in _RANK_KEYS:
+            for key in keys:
+                for stream in (0, 8, 255):
+                    assert (zz_rank(seed, key, 0.375, stream)
+                            == _reference_rank(seed, key, 0.375, stream)), (seed, key, stream)
+
+
+def _fill(d, keys):
+    for i, k in enumerate(keys):
+        d.insert(k, 0.5 ** i)
+
+
+@pytest.mark.parametrize("make", [
+    lambda seed: ZipZipTree(seed),
+    lambda seed: ThresholdedDict(seed, 64),
+    lambda seed: DynamicThresholdDict(seed, scheme="whi", scheme_seed=1),
+    lambda seed: PairedDict(seed, capacity=64),
+    lambda seed: PairedDict(seed),
+], ids=["zipzip", "threshold", "dynamic-whi", "paired-cap", "paired"])
+def test_tree_ranks_equal_zz_rank_and_the_reference_oracle(make, monkeypatch):
+    # each side's ranks, on its own stream (the paired fallback's is 8),
+    # at the weight each was drawn at
+    trees = {}
+    for seed in _RANK_SEEDS:
+        for keys in _RANK_KEYS:
+            d = make(seed)
+            _fill(d, keys)
+            sides = [d, d.learned] if isinstance(d, PairedDict) else [d]
+            for tree in sides:
+                for node in tree._inorder():
+                    args = (seed, node.key, tree._drawn_weight(node.weight), tree._stream)
+                    assert node.rank == zz_rank(*args) == _reference_rank(*args), args
+            trees[seed, keys[-1]] = d.fingerprint()
+    # the same structures with every rank drawn by the reference zz_rank
+    monkeypatch.setattr(ZipZipTree, "_rank",
+                        lambda self, key, w: zz_rank(self.seed, key, w, self._stream))
+    for seed in _RANK_SEEDS:
+        for keys in _RANK_KEYS:
+            ref = make(seed)
+            _fill(ref, keys)
+            assert ref.fingerprint() == trees[seed, keys[-1]]
+
+
+@pytest.mark.parametrize("make, sides", [
+    (lambda: ZipZipTree(5), 1),
+    (lambda: ThresholdedDict(5, 1000), 1),
+    (lambda: DynamicThresholdDict(5, scheme="whi", scheme_seed=2), 1),
+    (lambda: PairedDict(5, capacity=1000), 2),
+    (lambda: PairedDict(5), 2),
+], ids=["zipzip", "threshold", "dynamic-whi", "paired-cap", "paired"])
+def test_an_insert_keys_no_hasher_and_encodes_its_key_once_per_side(make, sides,
+                                                                    monkeypatch):
+    # a rank copies the tree's hasher: no blake2b is keyed on the write
+    # path, rebuilds included, and the key is encoded once, not per stream
+    d = make()
+    built, encoded = [], []
+    real_blake2b, real_key_bytes = hashlib.blake2b, hidict.structures._key_bytes
+
+    def counting_blake2b(*args, **kwargs):
+        built.append(kwargs)
+        return real_blake2b(*args, **kwargs)
+
+    def counting_key_bytes(key):
+        encoded.append(key)
+        return real_key_bytes(key)
+
+    keys = random.Random(2).sample(range(10_000), 300)
+    monkeypatch.setattr(hashlib, "blake2b", counting_blake2b)
+    monkeypatch.setattr(hidict.structures, "_key_bytes", counting_key_bytes)
+    for k in keys:
+        d.insert(k, 0.01)
+    monkeypatch.undo()
+    assert built == []
+    assert encoded == [k for k in keys for _ in range(sides)]
 
 
 # ------------------------------------------------------------ zip-zip tree

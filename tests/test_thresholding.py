@@ -134,6 +134,28 @@ def test_cutoff_is_an_int_at_least_one(bad):
             assert d.fingerprint() == twin.fingerprint()
 
 
+def test_static_rebuild_below_the_size_is_refused():
+    # 8 zero-frequency keys at capacity 8 weigh 8 * 1/16; at N = 2 they
+    # would weigh 8 * 1/4, past the weight-sum bound
+    d = ThresholdedDict(1, 8)
+    for k in range(8):
+        d.insert(k, 0.0)
+    before = d.fingerprint()
+    for N in (7, 2, 1):
+        with pytest.raises(CapacityError):
+            d.rebuild(N)
+        assert (d.N, d.fingerprint(), d.stored_weight_sum()) == (8, before, 0.5)
+    d.rebuild(9)
+    d.rebuild(8)  # the size itself is a valid capacity
+    assert (d.N, d.fingerprint()) == (8, before)
+    # the dynamic dict's N is the scheme's cutoff, not a capacity
+    dyn = DynamicThresholdDict(1, scheme="whi", scheme_seed=0)
+    for k in range(8):
+        dyn.insert(k, 0.0)
+    dyn.rebuild(2)
+    assert dyn.N == 2 and dyn.stored_weight_sum() == 2.0
+
+
 def test_duplicate_and_missing():
     d = ThresholdedDict(0, 4)
     d.insert(1, 0.5)
