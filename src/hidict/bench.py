@@ -1,10 +1,11 @@
 """Benchmark runners: comparison-count experiments, CSV tables, SVG plots.
 
 Search cost is measured exactly but cheaply: queries are sampled once per
-configuration, histogrammed, and each distinct queried key is searched a
-single time (searches are deterministic and read-only, so this equals
-replaying the full query sequence).  All randomness is derived from the
-master seed, so identical inputs give byte-identical outputs.
+workload spec and trial, histogrammed and shared by every structure, and
+each distinct queried key is searched a single time (searches are
+deterministic and read-only, so this equals replaying the full query
+sequence).  All randomness is derived from the master seed, so identical
+inputs give byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -85,17 +86,14 @@ def _fill(name: str, s, assigned):
 
 
 def _run_one(test: str, structure_name: str, spec: WorkloadSpec, trial: int,
-             master_seed: int, gamma: float) -> BenchRow:
+             master_seed: int, gamma: float, assigned, counts) -> BenchRow:
+    """Build one structure from the spec's frequencies ``assigned`` and
+    search it for the trial's query histogram ``counts`` (key -> number
+    of queries); ``_sweep`` computes both once for every structure."""
     struct_seed = derive_seed(master_seed, structure_name, spec.n, spec.alpha,
                               spec.delta, trial)
-    query_seed = derive_seed(master_seed, "queries", test, spec.n, spec.alpha,
-                             spec.delta, trial)
-    assigned = assigned_frequencies(spec)
     s = make_structure(structure_name, struct_seed, spec.n, gamma)
     _fill(structure_name, s, assigned)
-    base = spec.base_frequencies()
-    qs = sample_queries(base, spec.queries, query_seed & 0x7FFFFFFF)
-    counts = np.bincount(qs, minlength=spec.n + 1)
     total = 0.0
     max_c = 0
     for key in np.nonzero(counts)[0]:
@@ -122,9 +120,17 @@ def _sweep(test: str, structures: Sequence[str], specs: Sequence[WorkloadSpec],
            trials: int, master_seed: int, gamma: float) -> List[BenchRow]:
     rows = []
     for spec in specs:
-        for name in structures:
-            for trial in range(trials):
-                rows.append(_run_one(test, name, spec, trial, master_seed, gamma))
+        # the frequencies and the queries do not depend on the structure
+        assigned = assigned_frequencies(spec)
+        base = spec.base_frequencies()
+        for trial in range(trials):
+            query_seed = derive_seed(master_seed, "queries", test, spec.n, spec.alpha,
+                                     spec.delta, trial)
+            qs = sample_queries(base, spec.queries, query_seed & 0x7FFFFFFF)
+            counts = np.bincount(qs, minlength=spec.n + 1)
+            for name in structures:
+                rows.append(_run_one(test, name, spec, trial, master_seed, gamma,
+                                     assigned, counts))
     rows.sort(key=lambda r: (r.test, r.structure, r.n, r.alpha, r.delta, r.seed))
     return rows
 

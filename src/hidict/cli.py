@@ -20,8 +20,19 @@ from .hiverify import (
 )
 
 
+def _count(text):
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
+def _positive_int(text):
+    return _list(text, _count, "an integer >= 1", split=False)[0]
+
+
 def _int_list(text):
-    return _list(text, int, "comma-separated integers")
+    return _list(text, _count, "comma-separated integers >= 1")
 
 
 def _float_list(text):
@@ -45,6 +56,9 @@ def _list(text, convert, expected, split=True):
 
 def _structures(text):
     names = [x.strip() for x in text.split(",") if x.strip()]
+    if not names:
+        raise argparse.ArgumentTypeError("expected comma-separated structure names, got %r"
+                                         % (text,))
     for name in names:
         if name not in bench.STRUCTURE_NAMES:
             raise argparse.ArgumentTypeError(
@@ -56,12 +70,12 @@ def _structures(text):
 
 # flag -> argparse options; the dest is the bench runner's keyword
 _BENCH_FLAGS = {
-    "--n": dict(type=int),
+    "--n": dict(type=_positive_int),
     "--n-list": dict(dest="n_values", type=_int_list, metavar="N_LIST"),
     "--alpha": dict(type=float),
     "--delta": dict(type=float),
-    "--queries": dict(type=int),
-    "--trials": dict(type=int),
+    "--queries": dict(type=_positive_int),
+    "--trials": dict(type=_positive_int),
 }
 
 # bench test -> (runner, the flags of _BENCH_FLAGS passed to it); size
@@ -113,12 +127,12 @@ def build_parser():
     v = sub.add_parser("verify", help="history-independence verification")
     vsub = v.add_subparsers(dest="mode", required=True)
     vs = vsub.add_parser("shi")
-    vs.add_argument("--universe", type=int, default=128)
-    vs.add_argument("--trials", type=int, default=1000)
+    vs.add_argument("--universe", type=_positive_int, default=128)
+    vs.add_argument("--trials", type=_positive_int, default=1000)
     vs.add_argument("--seed", type=int, default=0)
     vw = vsub.add_parser("whi")
     vw.add_argument("--n-list", type=_int_list, default=[5, 16, 33])
-    vw.add_argument("--samples", type=int, default=10_000)
+    vw.add_argument("--samples", type=_positive_int, default=10_000)
     vw.add_argument("--seed", type=int, default=0)
 
     d = sub.add_parser("demo", help="demonstrations")
@@ -153,7 +167,8 @@ def _cmd_bench(args):
 def _cmd_verify_shi(args):
     ok = True
     for name in ("zipzip", "threshold-zipzip", "paired-zipzip"):
-        factory = lambda: bench.make_structure(name, args.seed, 2 * args.universe)
+        # the capacity holds the exhaustive check's 6 keys at any --universe
+        factory = lambda: bench.make_structure(name, args.seed, 2 * max(args.universe, 6))
         exhaustive = shi_check(factory, 6, 0, args.seed)
         randomized = shi_check(factory, args.universe, args.trials, args.seed)
         mism = exhaustive.mismatches + randomized.mismatches

@@ -177,28 +177,36 @@ class _BST:
         return best
 
     def range_query(self, lo, hi, tally: Optional[ComparisonTally] = None):
+        """The keys in ``[lo, hi]``, in increasing order.
+
+        ``tally`` counts each node whose key the walk compares: the search
+        paths to both bounds, plus the keys between.  A node left of ``lo``
+        goes right, a node right of ``hi`` goes left, and a node in range
+        goes left, is emitted, then goes right.  The stack holds only the
+        in-range nodes still to be emitted, so a visit allocates nothing.
+        """
         if lo > hi:
             raise ValueError("range bounds out of order: %r > %r" % (lo, hi))
         out = []
-        stack = [(self._root, False)]
-        while stack:
-            node, emit = stack.pop()
-            if node is None:
-                continue
-            if emit:
-                out.append(node.key)
-                continue
-            if tally is not None:
-                tally.count += 1
-            if node.key < lo:
-                stack.append((node.right, False))
-            elif node.key > hi:
-                stack.append((node.left, False))
-            else:
-                stack.append((node.right, False))
-                stack.append((node, True))
-                stack.append((node.left, False))
-        return out
+        stack = []
+        cur = self._root
+        while True:
+            while cur is not None:
+                if tally is not None:
+                    tally.count += 1
+                key = cur.key
+                if key < lo:
+                    cur = cur.right
+                elif key > hi:
+                    cur = cur.left
+                else:
+                    stack.append(cur)
+                    cur = cur.left
+            if not stack:
+                return out
+            cur = stack.pop()
+            out.append(cur.key)
+            cur = cur.right
 
     def _inorder(self):
         stack = []

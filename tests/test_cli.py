@@ -46,6 +46,8 @@ def test_unused_bench_flags_exit_2(argv, capsys):
     ("verify whi --n-list 5,y", "--n-list"),
     ("bench zipf-param --alpha z", "--alpha"),
     ("bench zipf-param --alpha-list 1,q", "--alpha-list"),
+    ("bench zipf-param --n z", "--n"),
+    ("verify whi --samples 1e4", "--samples"),
 ])
 def test_bad_values_name_the_flag_not_the_converter(argv, flag, capsys):
     with pytest.raises(SystemExit) as e:
@@ -53,8 +55,39 @@ def test_bad_values_name_the_flag_not_the_converter(argv, flag, capsys):
     assert e.value.code == 2
     err = capsys.readouterr().err
     assert "argument %s: expected " % flag in err
-    for name in ("_int_list", "_float_list", "_one_float"):
+    for name in ("_int_list", "_float_list", "_one_float", "_positive_int", "_count"):
         assert name not in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    ("verify whi --samples 0", "--samples"),
+    ("verify whi --n-list 0", "--n-list"),
+    ("verify whi --n-list 5,-3", "--n-list"),
+    ("verify shi --universe 0", "--universe"),
+    ("verify shi --trials 0", "--trials"),
+    ("bench zipf-param --n 50 --queries 0 --trials 1", "--queries"),
+    ("bench zipf-param --n 50 --trials 0", "--trials"),
+    ("bench zipf-param --n 0", "--n"),
+    ("bench zipf-param --n 1.5", "--n"),
+    ("bench noisy-zipf --n-list 16,0", "--n-list"),
+    ("bench size --n-list -1", "--n-list"),
+    ("bench size --structures ,", "--structures"),
+])
+def test_nothing_to_run_is_a_usage_error(argv, flag, capsys):
+    # caught at parse time, not as a division by zero, a vacuous PASS or
+    # an empty run
+    with pytest.raises(SystemExit) as e:
+        main(argv.split())
+    assert e.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument %s: expected " % flag in captured.err
+
+
+def test_verify_shi_smallest_universe(capsys):
+    # the exhaustive check's 6 keys fit the thresholded dict at any universe
+    assert main(["verify", "shi", "--universe", "1", "--trials", "1"]) == 0
+    assert "RESULT verify-shi pass=true" in capsys.readouterr().out
 
 
 def test_bench_flags_reach_the_runner(capsys):

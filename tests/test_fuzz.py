@@ -2,22 +2,24 @@
 
 A hypothesis state machine drives every dictionary through one random
 sequence of inserts, deletes and queries (payloads included) and checks
-each reply and the key order against a plain dict.  After every step, each
-history-independent structure's fingerprint must equal that of a fresh
-build of the model's contents in sorted order; for the dynamic dicts the
-fresh build is then rebuilt at the same cutoff N.  That is unique
-representation, checked on the real structures.  Each thresholded dict
-(the paired dict's learned side included) must also report the model's
-raw frequency for every key and the fresh build's weight sum.  The AVL
-tree depends on its history by design, so its replies, its keys and its
-own invariants (exact heights, balance in [-1, 1]) are checked.
+each reply and the key order against a plain dict.  A range query's tally
+must equal the node count of the recursive range walk over the
+structure's own tree (the paired dict's fallback tree).  After every
+step, each history-independent structure's fingerprint must equal that of
+a fresh build of the model's contents in sorted order; for the dynamic
+dicts the fresh build is then rebuilt at the same cutoff N.  That is
+unique representation, checked on the real structures.  Each thresholded
+dict (the paired dict's learned side included) must also report the
+model's raw frequency for every key and the fresh build's weight sum.
+The AVL tree depends on its history by design, so its replies, its keys
+and its own invariants (exact heights, balance in [-1, 1]) are checked.
 """
 
 import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from hidict.core import DuplicateKeyError, MissingKeyError
+from hidict.core import ComparisonTally, DuplicateKeyError, MissingKeyError
 from hidict.dynamics import AMORTIZED_INITIAL_CUTOFF, DynamicThresholdDict
 from hidict.pairing import PairedDict
 from hidict.structures import AVLTree, CTreap, LTreap, ZipZipTree
@@ -28,10 +30,25 @@ CAPACITY = 64
 KEYS = st.integers(1, 40)
 FREQS = st.sampled_from([1e-9, 0.01, 0.125, 0.3, 1.0])
 PAYLOADS = st.none() | st.binary(max_size=3)
+# range bounds reach one past each end of the key domain
+BOUNDS = st.integers(0, 41)
 
 
 # structures whose fresh build is a sorted bulk load
 _LOADED = {"zipzip": ZipZipTree, "l-treap": LTreap, "c-treap": CTreap}
+
+
+def _range_visits(node, lo, hi):
+    """The nodes a range query compares, by the recursive definition: a
+    node left of lo goes right, a node right of hi goes left, and a node
+    in range goes both ways."""
+    if node is None:
+        return 0
+    if node.key < lo:
+        return 1 + _range_visits(node.right, lo, hi)
+    if node.key > hi:
+        return 1 + _range_visits(node.left, lo, hi)
+    return 1 + _range_visits(node.left, lo, hi) + _range_visits(node.right, lo, hi)
 
 
 def _fresh(name, entries, N):
@@ -105,12 +122,14 @@ class DictionaryContract(RuleBasedStateMachine):
         for s in self.structs.values():
             assert s.predecessor(key) == expected
 
-    @rule(a=KEYS, b=KEYS)
+    @rule(a=BOUNDS, b=BOUNDS)
     def range_query(self, a, b):
         lo, hi = min(a, b), max(a, b)
         expected = sorted(k for k in self.model if lo <= k <= hi)
-        for s in self.structs.values():
-            assert s.range_query(lo, hi) == expected
+        for name, s in self.structs.items():
+            tally = ComparisonTally()
+            assert s.range_query(lo, hi, tally) == expected
+            assert tally.count == _range_visits(s._root, lo, hi), name
 
     @invariant()
     def equals_fresh_sorted_build(self):
