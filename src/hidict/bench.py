@@ -11,7 +11,7 @@ inputs give byte-identical outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Callable, List, NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,16 +22,6 @@ from .thresholding import ThresholdedDict
 from .workloads import WorkloadSpec, assigned_frequencies, sample_queries
 
 CSV_HEADER = "test,structure,n,alpha,delta,gamma,seed,queries,avg_comparisons,max_comparisons,nodes"
-
-STRUCTURE_NAMES = (
-    "avl",
-    "zipzip",
-    "biased-zipzip",
-    "threshold-zipzip",
-    "paired-zipzip",
-    "l-treap",
-    "c-treap",
-)
 
 DEFAULT_N_LIST = (250, 500, 1000, 2000)
 
@@ -51,34 +41,41 @@ class BenchRow:
     nodes: int
 
 
+class _Kind(NamedTuple):
+    build: Callable  # (seed, n, gamma) -> an empty structure
+    learned: bool  # keys carry their predicted frequencies, not weight 1
+    # filled by load_sorted, not by inserts: a precedence tree whose shape
+    # is a function of (key, weight) alone, so the two builds are equal
+    bulk: bool
+
+
+_STRUCTURES = {
+    "avl": _Kind(lambda seed, n, gamma: AVLTree(seed), learned=False, bulk=False),
+    "zipzip": _Kind(lambda seed, n, gamma: ZipZipTree(seed), learned=False, bulk=True),
+    "biased-zipzip": _Kind(lambda seed, n, gamma: ZipZipTree(seed), learned=True, bulk=True),
+    "threshold-zipzip": _Kind(lambda seed, n, gamma: ThresholdedDict(seed, capacity=n),
+                              learned=True, bulk=False),
+    "paired-zipzip": _Kind(lambda seed, n, gamma: PairedDict(seed, gamma=gamma, capacity=n),
+                           learned=True, bulk=False),
+    "l-treap": _Kind(lambda seed, n, gamma: LTreap(seed), learned=True, bulk=True),
+    "c-treap": _Kind(lambda seed, n, gamma: CTreap(seed), learned=True, bulk=True),
+}
+
+STRUCTURE_NAMES = tuple(_STRUCTURES)
+
+
 def make_structure(name: str, seed: int, n: int, gamma: float = 1.0):
-    if name == "avl":
-        return AVLTree(seed)
-    if name in ("zipzip", "biased-zipzip"):
-        return ZipZipTree(seed)
-    if name == "threshold-zipzip":
-        return ThresholdedDict(seed, capacity=n)
-    if name == "paired-zipzip":
-        return PairedDict(seed, gamma=gamma, capacity=n)
-    if name == "l-treap":
-        return LTreap(seed)
-    if name == "c-treap":
-        return CTreap(seed)
-    raise ValueError("unknown structure %r" % (name,))
-
-
-# precedence trees whose shape is a function of (key, weight) alone, so a
-# sorted bulk load equals the insert-built tree
-_BULK_LOADED = ("zipzip", "biased-zipzip", "l-treap", "c-treap")
+    if name not in _STRUCTURES:
+        raise ValueError("unknown structure %r" % (name,))
+    return _STRUCTURES[name].build(seed, n, gamma)
 
 
 def _fill(name: str, s, assigned):
-    """Fill keys 1..n with their assigned frequencies; the non-learned
-    trees get weight 1."""
-    uniform = name in ("avl", "zipzip")
-    entries = ((key, 1.0 if uniform else float(assigned[key - 1]), None)
+    """Fill keys 1..n with their assigned frequencies, or weight 1."""
+    kind = _STRUCTURES[name]
+    entries = ((key, float(assigned[key - 1]) if kind.learned else 1.0, None)
                for key in range(1, len(assigned) + 1))
-    if name in _BULK_LOADED:
+    if kind.bulk:
         s.load_sorted(entries)
     else:
         for key, weight, _ in entries:
@@ -110,7 +107,7 @@ def _run_one(test: str, structure_name: str, spec: WorkloadSpec, trial: int,
         gamma=gamma,
         seed=struct_seed,
         queries=spec.queries,
-        avg_comparisons=total / spec.queries,
+        avg_comparisons=total / spec.queries if spec.queries else 0.0,
         max_comparisons=max_c,
         nodes=s.node_count(),
     )
@@ -124,9 +121,11 @@ def _sweep(test: str, structures: Sequence[str], specs: Sequence[WorkloadSpec],
         assigned = assigned_frequencies(spec)
         base = spec.base_frequencies()
         for trial in range(trials):
-            query_seed = derive_seed(master_seed, "queries", test, spec.n, spec.alpha,
-                                     spec.delta, trial)
-            qs = sample_queries(base, spec.queries, query_seed & 0x7FFFFFFF)
+            qs = ()
+            if spec.queries:
+                query_seed = derive_seed(master_seed, "queries", test, spec.n, spec.alpha,
+                                         spec.delta, trial)
+                qs = sample_queries(base, spec.queries, query_seed & 0x7FFFFFFF)
             counts = np.bincount(qs, minlength=spec.n + 1)
             for name in structures:
                 rows.append(_run_one(test, name, spec, trial, master_seed, gamma,
@@ -163,18 +162,8 @@ def run_size(structures: Sequence[str], n_values: Sequence[int] = DEFAULT_N_LIST
              alpha: float = 2.0, master_seed: int = 0,
              gamma: float = 1.0) -> List[BenchRow]:
     """Node-count measurement under Zipfian weights; no queries."""
-    rows = []
-    for n in n_values:
-        spec = WorkloadSpec("zipfian", n, alpha, 0.0, 0)
-        assigned = assigned_frequencies(spec)
-        for name in structures:
-            seed = derive_seed(master_seed, name, n, alpha, 0.0, 0)
-            s = make_structure(name, seed, n, gamma)
-            _fill(name, s, assigned)
-            rows.append(BenchRow("size", name, n, alpha, 0.0, gamma, seed, 0,
-                                 0.0, 0, s.node_count()))
-    rows.sort(key=lambda r: (r.test, r.structure, r.n, r.alpha, r.delta, r.seed))
-    return rows
+    specs = [WorkloadSpec("zipfian", n, alpha, 0.0, 0) for n in n_values]
+    return _sweep("size", structures, specs, 1, master_seed, gamma)
 
 
 def mean_avg_comparisons(rows: Sequence[BenchRow], structure: str, n: int = None,
@@ -192,18 +181,19 @@ def mean_avg_comparisons(rows: Sequence[BenchRow], structure: str, n: int = None
 def emit_csv(rows: Sequence[BenchRow], path: str):
     if not rows:
         raise ValueError("no rows to emit")
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            "%s,%s,%d,%.4f,%.4f,%.4f,%d,%d,%.4f,%d,%d"
-            % (r.test, r.structure, r.n, r.alpha, r.delta, r.gamma, r.seed,
-               r.queries, r.avg_comparisons, r.max_comparisons, r.nodes)
-        )
+    _write(path, "CSV", [CSV_HEADER] + [
+        "%s,%s,%d,%.4f,%.4f,%.4f,%d,%d,%.4f,%d,%d"
+        % (r.test, r.structure, r.n, r.alpha, r.delta, r.gamma, r.seed,
+           r.queries, r.avg_comparisons, r.max_comparisons, r.nodes)
+        for r in rows])
+
+
+def _write(path: str, what: str, lines: Sequence[str]):
     try:
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
     except OSError as exc:
-        raise OSError("cannot write CSV to %s: %s" % (path, exc)) from exc
+        raise OSError("cannot write %s to %s: %s" % (what, path, exc)) from exc
 
 
 def _series(rows: Sequence[BenchRow]):
@@ -233,12 +223,11 @@ _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728",
             "#9467bd", "#8c564b", "#e377c2")
 
 
-def emit_svg(rows: Sequence[BenchRow], path: str, chart: str = "bar"):
-    """Static grouped-bar or line chart of the aggregated rows."""
+def emit_svg(rows: Sequence[BenchRow], path: str):
+    """Static chart of the aggregated rows: grouped bars for zipf-param,
+    lines for every other test."""
     if not rows:
         raise ValueError("no rows to emit")
-    if chart not in ("bar", "line"):
-        raise ValueError("chart must be 'bar' or 'line'")
     series, xlabel, ylabel = _series(rows)
     names = sorted(series)
     xs = sorted({x for pts in series.values() for x, _ in pts})
@@ -274,7 +263,7 @@ def emit_svg(rows: Sequence[BenchRow], path: str, chart: str = "bar"):
     for si, name in enumerate(names):
         color = _PALETTE[si % len(_PALETTE)]
         pts = dict(series[name])
-        if chart == "line":
+        if rows[0].test != "zipf-param":
             coords = " ".join("%.1f,%.1f" % (px(i), py(pts[x]))
                               for i, x in enumerate(xs) if x in pts)
             svg.append('<polyline points="%s" fill="none" stroke="%s" stroke-width="2"/>'
@@ -299,8 +288,4 @@ def emit_svg(rows: Sequence[BenchRow], path: str, chart: str = "bar"):
         svg.append('<text x="%d" y="%d" font-size="11">%s</text>'
                    % (width - mr + 24, mt + 16 * si + 9, name))
     svg.append("</svg>")
-    try:
-        with open(path, "w") as fh:
-            fh.write("\n".join(svg) + "\n")
-    except OSError as exc:
-        raise OSError("cannot write SVG to %s: %s" % (path, exc)) from exc
+    _write(path, "SVG", svg)

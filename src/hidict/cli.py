@@ -18,6 +18,8 @@ from .hiverify import (
     shi_check,
     whi_check,
 )
+from .pairing import PairedDict
+from .workloads import adversarial_rank, inverse_power_frequencies, zipf_frequencies
 
 
 def _count(text):
@@ -35,12 +37,23 @@ def _int_list(text):
     return _list(text, _count, "comma-separated integers >= 1")
 
 
-def _float_list(text):
-    return _list(text, float, "comma-separated numbers")
+def _float_list(check, split=True):
+    """Comma-separated numbers, or one unless ``split``, each passing
+    ``check``: the library's own test of the value, whose ValueError
+    message is the usage error."""
+    def convert(text):
+        value = float(text)
+        try:
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    expected = "comma-separated numbers" if split else "a number"
+    return lambda text: _list(text, convert, expected, split)
 
 
-def _one_float(text):
-    return _list(text, float, "a number", split=False)
+def _one_float(check):
+    return lambda text: _float_list(check, split=False)(text)[0]
 
 
 def _list(text, convert, expected, split=True):
@@ -68,25 +81,25 @@ def _structures(text):
     return names
 
 
-# flag -> argparse options; the dest is the bench runner's keyword
+# flag -> argparse options; the dest is the bench runner's keyword.
+# --alpha is checked by the test's law, so _add_bench adds it
 _BENCH_FLAGS = {
     "--n": dict(type=_positive_int),
     "--n-list": dict(dest="n_values", type=_int_list, metavar="N_LIST"),
-    "--alpha": dict(type=float),
-    "--delta": dict(type=float),
+    "--delta": dict(type=_one_float(lambda delta: adversarial_rank(1, 1, delta))),
     "--queries": dict(type=_positive_int),
     "--trials": dict(type=_positive_int),
 }
 
-# bench test -> (runner, the flags of _BENCH_FLAGS passed to it); size
+# bench test -> (runner, its frequency law, the flags passed to it); size
 # always runs at run_size's alpha of 2
 _BENCH_TESTS = {
-    "zipf-param": (bench.run_zipf_param, ("--n", "--queries", "--trials")),
-    "noisy-zipf": (bench.run_noisy_zipf,
+    "zipf-param": (bench.run_zipf_param, zipf_frequencies, ("--n", "--queries", "--trials")),
+    "noisy-zipf": (bench.run_noisy_zipf, zipf_frequencies,
                    ("--n-list", "--alpha", "--delta", "--queries", "--trials")),
-    "inverse-power": (bench.run_inverse_power,
+    "inverse-power": (bench.run_inverse_power, inverse_power_frequencies,
                       ("--n-list", "--alpha", "--delta", "--queries", "--trials")),
-    "size": (bench.run_size, ("--n-list",)),
+    "size": (bench.run_size, zipf_frequencies, ("--n-list",)),
 }
 
 # bench options that are not runner keywords
@@ -96,15 +109,19 @@ _BENCH_OUTPUTS = ("command", "test", "structures", "csv", "svg")
 def _add_bench(p, test):
     """Register the flags passed to ``test``'s runner.  A flag left out
     is absent from the namespace, so the runner applies its own default."""
+    _, law, flags = _BENCH_TESTS[test]
+    alpha = lambda value: law(1, value)  # the law checks its alpha
     if test == "zipf-param":
         # the sweep varies alpha; --alpha runs one value
         alphas = p.add_mutually_exclusive_group()
-        alphas.add_argument("--alpha-list", dest="alphas", type=_float_list,
+        alphas.add_argument("--alpha-list", dest="alphas", type=_float_list(alpha),
                             metavar="ALPHA_LIST")
-        alphas.add_argument("--alpha", dest="alphas", type=_one_float, metavar="ALPHA")
-    for flag in _BENCH_TESTS[test][1]:
-        p.add_argument(flag, **_BENCH_FLAGS[flag])
-    p.add_argument("--gamma", type=float,
+        alphas.add_argument("--alpha", dest="alphas", type=_float_list(alpha, split=False),
+                            metavar="ALPHA")
+    for flag in flags:
+        options = dict(type=_one_float(alpha)) if flag == "--alpha" else _BENCH_FLAGS[flag]
+        p.add_argument(flag, **options)
+    p.add_argument("--gamma", type=_one_float(lambda gamma: PairedDict(0, gamma=gamma)),
                    help="paired search budget coefficient (presets: 1.3863, 3.82)")
     p.add_argument("--seed", dest="master_seed", type=int, metavar="SEED")
     p.add_argument("--structures", type=_structures,
@@ -151,13 +168,12 @@ def _emit(rows, args):
         bench.emit_csv(rows, args.csv)
         print("wrote %s" % args.csv)
     if args.svg:
-        chart = "line" if rows and rows[0].test in ("noisy-zipf", "inverse-power", "size") else "bar"
-        bench.emit_svg(rows, args.svg, chart)
+        bench.emit_svg(rows, args.svg)
         print("wrote %s" % args.svg)
 
 
 def _cmd_bench(args):
-    runner, _ = _BENCH_TESTS[args.test]
+    runner = _BENCH_TESTS[args.test][0]
     keywords = {k: v for k, v in vars(args).items() if k not in _BENCH_OUTPUTS}
     rows = runner(args.structures, **keywords)
     _emit(rows, args)

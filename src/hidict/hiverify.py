@@ -76,7 +76,8 @@ def shi_check(structure_factory: Callable[[], object], universe_size: int,
     """Strong-HI distinguisher over random (and small exhaustive) histories.
 
     For universe_size <= 6 every insertion order of the full key set is
-    enumerated; otherwise ``trials`` random subsets are realized by two
+    enumerated; otherwise ``trials`` (at least 1, so that a pass means
+    something was compared) random subsets are realized by two
     distinct operation sequences each (including delete/reinsert and
     transient-key detours) and compared to the sorted-order build.
     """
@@ -93,6 +94,9 @@ def shi_check(structure_factory: Callable[[], object], universe_size: int,
                 mismatches += 1
         return HiReport("strong", total, mismatches)
 
+    if trials < 1:
+        raise ValueError("shi_check needs trials >= 1 above a universe of 6, got %r"
+                         % (trials,))
     universe = list(range(1, universe_size + 1))
     for _ in range(trials):
         total += 1
@@ -127,11 +131,14 @@ def whi_check(structure_factory: Callable[[int], object], target_n: int,
     ``structure_factory(scheme_seed)`` builds an empty structure exposing
     ``insert``/``delete``, the size ``n`` and the cutoff ``N``; each
     strategy drives it from empty to the same target content set, of
-    ``target_n`` keys (a ValueError otherwise).  Reports the maximum
-    pairwise TV distance between the strategies' empirical N distributions.
+    ``target_n`` keys (a ValueError otherwise), ``samples`` >= 1 times
+    each.  Reports the maximum pairwise TV distance between the
+    strategies' empirical N distributions.
     """
     if len(strategies) < 2:
         raise ValueError("whi_check needs at least 2 strategies")
+    if samples < 1:
+        raise ValueError("whi_check needs samples >= 1, got %r" % (samples,))
     distributions = []
     for s_idx, strategy in enumerate(strategies):
         counts = Counter()

@@ -33,8 +33,9 @@ def zipf_frequencies(n: int, alpha: float) -> np.ndarray:
     """Normalized f_i proportional to 1/i**alpha for ranks 1..n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if alpha < 1:
-        raise ValueError("alpha must be >= 1 for the Zipfian workload")
+    if not 1 <= alpha < math.inf:  # the comparisons also reject nan
+        raise ValueError("alpha must be finite and >= 1 for the Zipfian workload, got %r"
+                         % (alpha,))
     ranks = np.arange(1, n + 1, dtype=float)
     f = ranks ** -alpha
     return f / f.sum()
@@ -44,8 +45,9 @@ def inverse_power_frequencies(n: int, alpha: float) -> np.ndarray:
     """Normalized f_i proportional to alpha**-i; tail is inverse-exponential."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if alpha <= 1:
-        raise ValueError("alpha must be > 1 for the inverse power workload")
+    if not 1 < alpha < math.inf:
+        raise ValueError("alpha must be finite and > 1 for the inverse power workload, got %r"
+                         % (alpha,))
     # compute in log space to survive alpha**-i underflow at large n
     log_f = -np.arange(1, n + 1, dtype=float) * math.log(alpha)
     log_f -= log_f.max()
@@ -58,7 +60,7 @@ def adversarial_rank(i: int, n: int, delta: float) -> int:
     if not 1 <= i <= n:
         raise ValueError("rank out of range")
     if not 0.0 <= delta <= 1.0:
-        raise ValueError("delta must be in [0, 1]")
+        raise ValueError("delta must be in [0, 1], got %r" % (delta,))
     raw = i * (1.0 - delta) + delta * (n - i + 1)
     return min(n, max(1, math.floor(raw + 0.5)))
 
@@ -84,7 +86,9 @@ def assigned_frequencies(spec: WorkloadSpec) -> np.ndarray:
 def sample_queries(frequencies: np.ndarray, count: int, seed: int) -> np.ndarray:
     """``count`` i.i.d. 1-based key draws via inverse-CDF on a seeded stream."""
     f = np.asarray(frequencies, dtype=float)
-    if f.ndim != 1 or f.size == 0 or (f < 0).any() or abs(f.sum() - 1.0) > 1e-9:
+    # a nan fails every comparison, so it must be refused explicitly
+    if (f.ndim != 1 or f.size == 0 or not np.isfinite(f).all() or (f < 0).any()
+            or abs(f.sum() - 1.0) > 1e-9):
         raise ValueError("frequencies must be a distribution summing to 1")
     cdf = np.cumsum(f)
     cdf[-1] = 1.0

@@ -1,5 +1,6 @@
 import pytest
 
+from hidict import bench
 from hidict.bench import (
     CSV_HEADER,
     STRUCTURE_NAMES,
@@ -50,18 +51,17 @@ def test_emit_rejects_empty_and_unwritable(tmp_path):
     with pytest.raises(ValueError):
         emit_csv([], str(tmp_path / "x.csv"))
     rows = small_rows(trials=1)
-    with pytest.raises(OSError):
+    with pytest.raises(OSError, match="cannot write CSV to "):
         emit_csv(rows, str(tmp_path / "missing" / "x.csv"))
-    with pytest.raises(OSError):
+    with pytest.raises(OSError, match="cannot write SVG to "):
         emit_svg(rows, str(tmp_path / "missing" / "x.svg"))
-    with pytest.raises(ValueError):
-        emit_svg(rows, str(tmp_path / "x.svg"), chart="pie")
 
 
 def test_svg_bar_chart(tmp_path):
+    # zipf-param rows are drawn as bars
     rows = small_rows()
     path = tmp_path / "out.svg"
-    emit_svg(rows, str(path), chart="bar")
+    emit_svg(rows, str(path))
     text = path.read_text()
     assert text.startswith("<svg")
     # 2 structures x 2 alpha groups, plus legend entries
@@ -72,10 +72,11 @@ def test_svg_bar_chart(tmp_path):
 
 
 def test_svg_line_chart(tmp_path):
+    # every test but zipf-param is drawn as lines
     rows = run_noisy_zipf(["avl", "zipzip", "biased-zipzip"],
                           n_values=[32, 64], queries=1000, trials=1)
     path = tmp_path / "out.svg"
-    emit_svg(rows, str(path), chart="line")
+    emit_svg(rows, str(path))
     text = path.read_text()
     assert text.count("<polyline") == 3
     assert text.count("<circle") == 6  # 3 series x 2 sizes
@@ -88,6 +89,24 @@ def test_size_rows_exact_node_counts():
     assert counts[("avl", 500)] == 500
     assert counts[("paired-zipzip", 250)] == 500  # tandem: 2n
     assert counts[("paired-zipzip", 500)] == 1000
+
+
+def test_size_samples_no_queries(monkeypatch, tmp_path):
+    def refuse(*args):
+        raise AssertionError("a spec with no queries sampled")
+
+    monkeypatch.setattr(bench, "sample_queries", refuse)
+    rows = run_size(["avl", "zipzip"], n_values=[16, 32])
+    assert [(r.queries, r.avg_comparisons, r.max_comparisons) for r in rows] == [(0, 0.0, 0)] * 4
+    path = tmp_path / "size.svg"
+    emit_svg(rows, str(path))
+    assert path.read_text().count("<polyline") == 2
+
+
+def test_zero_queries_average_zero():
+    rows = run_zipf_param(["avl", "c-treap"], alphas=[2.0], n=16, queries=0, trials=2)
+    assert len(rows) == 4
+    assert all(r.avg_comparisons == 0.0 and r.max_comparisons == 0 for r in rows)
 
 
 def test_all_structures_run():

@@ -84,6 +84,49 @@ def test_nothing_to_run_is_a_usage_error(argv, flag, capsys):
     assert "argument %s: expected " % flag in captured.err
 
 
+@pytest.mark.parametrize("argv, flag, reason", [
+    ("bench noisy-zipf --n-list 50 --trials 1 --queries 10 --delta 2", "--delta",
+     "delta must be in [0, 1]"),
+    ("bench noisy-zipf --n-list 50 --trials 1 --queries 10 --delta nan", "--delta",
+     "delta must be in [0, 1]"),
+    ("bench size --structures avl --gamma 0", "--gamma", "gamma must be positive"),
+    ("bench size --structures avl --gamma nan", "--gamma", "gamma must be positive"),
+    ("bench zipf-param --alpha -1 --n 8 --trials 1 --queries 10", "--alpha",
+     "alpha must be finite and >= 1"),
+    ("bench zipf-param --alpha nan --n 8 --trials 1 --queries 10", "--alpha",
+     "alpha must be finite and >= 1"),
+    ("bench noisy-zipf --alpha 0.5 --n-list 8 --trials 1 --queries 10", "--alpha",
+     "alpha must be finite and >= 1"),
+    ("bench inverse-power --alpha 1 --n-list 8 --trials 1 --queries 10", "--alpha",
+     "alpha must be finite and > 1"),
+    ("bench inverse-power --alpha inf --n-list 8 --trials 1 --queries 10", "--alpha",
+     "alpha must be finite and > 1"),
+    ("bench zipf-param --alpha-list 2,inf --n 8 --trials 1 --queries 10", "--alpha-list",
+     "alpha must be finite and >= 1"),
+])
+def test_bad_float_flags_are_usage_errors(argv, flag, reason, tmp_path, capsys):
+    # the library's own check of the value runs at parse time: nothing is
+    # run and nothing is written
+    csv = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as e:
+        main(argv.split() + ["--csv", str(csv)])
+    assert e.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument %s: %s" % (flag, reason) in captured.err
+    assert not csv.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    "bench noisy-zipf --n-list 8 --alpha 1 --delta 1 --gamma 3.82",
+    "bench inverse-power --n-list 8 --alpha 1.0001 --delta 0 --gamma 1e-3",
+    "bench zipf-param --n 8 --alpha-list 1,3",
+])
+def test_float_flags_accept_their_bounds(argv, capsys):
+    assert main(argv.split() + ["--trials", "1", "--queries", "10",
+                                "--structures", "paired-zipzip"]) == 0
+
+
 def test_verify_shi_smallest_universe(capsys):
     # the exhaustive check's 6 keys fit the thresholded dict at any universe
     assert main(["verify", "shi", "--universe", "1", "--trials", "1"]) == 0

@@ -58,6 +58,14 @@ def test_shi_negative_control():
     assert report.mismatches >= 1 and not report.passed
 
 
+def test_shi_randomized_needs_a_trial():
+    # zero trials would pass without building anything
+    with pytest.raises(ValueError, match="trials"):
+        shi_check(lambda: ZipZipTree(1), universe_size=50, trials=0)
+    with pytest.raises(ValueError, match="trials"):
+        shi_check(lambda: ZipZipTree(1), universe_size=7, trials=-1)
+
+
 def test_amortized_counterexample_check():
     report = amortized_counterexample_check(seed=1)
     assert report.mismatches == 1 and not report.passed
@@ -88,6 +96,13 @@ def test_whi_check_rejects_a_strategy_off_target_n():
 
 def _whi_factory(s):
     return CutoffSimulator("whi", random.Random(s))
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_whi_check_needs_a_sample(samples):
+    with pytest.raises(ValueError, match="samples"):
+        whi_check(_whi_factory, 8, samples,
+                  [pure_insert_strategy(8), detour_strategy(8, 1)])
 
 
 def test_whi_self_comparison_noise_floor():

@@ -60,6 +60,15 @@ def test_distribution_domain_errors():
         WorkloadSpec("bogus", 5, 2.0, 0.0).base_frequencies()
 
 
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+def test_laws_reject_a_non_finite_alpha(alpha):
+    # nan fails every comparison, so it would pass a plain bound check
+    with pytest.raises(ValueError, match="finite"):
+        zipf_frequencies(5, alpha)
+    with pytest.raises(ValueError, match="finite"):
+        inverse_power_frequencies(5, alpha)
+
+
 def test_adversarial_rank_identity_at_zero_noise():
     for i in range(1, 21):
         assert adversarial_rank(i, 20, 0.0) == i
@@ -136,3 +145,10 @@ def test_sample_queries_validates_distribution():
         sample_queries(np.array([0.5, 0.4]), 10, 0)
     with pytest.raises(ValueError):
         sample_queries(np.array([-0.5, 1.5]), 10, 0)
+
+
+@pytest.mark.parametrize("f", [[float("nan")] * 3, [0.5, 0.5, float("nan")],
+                               [float("inf"), 0.5, 0.5]])
+def test_sample_queries_refuses_non_finite_frequencies(f):
+    with pytest.raises(ValueError):
+        sample_queries(np.array(f), 10, 0)
