@@ -199,12 +199,11 @@ def _write(path: str, what: str, lines: Sequence[str]):
 def _series(rows: Sequence[BenchRow]):
     """Group rows into per-structure (x, mean y) series.
 
-    x is alpha when the sweep varied alpha, otherwise n; y is
-    avg_comparisons for query tests and nodes for the size test.
+    x is alpha for zipf-param, which varies alpha at one n, and n for
+    every other test; y is avg_comparisons for query tests and nodes for
+    the size test.
     """
-    alphas = sorted({r.alpha for r in rows})
-    ns = sorted({r.n for r in rows})
-    use_alpha = len(alphas) > len(ns)
+    use_alpha = rows[0].test == "zipf-param"
     sizes = all(r.test == "size" for r in rows)
     series = {}
     for r in rows:

@@ -64,7 +64,9 @@ def zz_rank(seed: int, key, weight: float, stream: int = 0):
     which is what yields O(log W/w) retrieval depth.  The two draws use
     oracle streams ``stream`` and ``stream + 1``.
     """
-    return _zz_rank_keyed(keyed_hasher(seed), key, weight, stream)
+    # a tree stores the pair (r1, r2) as the int (r1 << 32) | r2, which
+    # orders as the pair does, negative r1 included, because 0 <= r2 < 2**32
+    return divmod(_zz_rank_keyed(keyed_hasher(seed), key, weight, stream), 1 << 32)
 
 
 # the oracle's stream byte, by stream mod 256
@@ -72,9 +74,9 @@ _STREAM_BYTE = tuple(bytes((s,)) for s in range(256))
 
 
 def _zz_rank_keyed(keyed, key, weight: float, stream: int):
-    """``zz_rank`` over ``keyed``, the seed's ``keyed_hasher``, which is
-    copied and not fed: the key is encoded and fed once, and that state is
-    copied for the second stream."""
+    """``zz_rank``, packed into one int, over ``keyed``, the seed's
+    ``keyed_hasher``, which is copied and not fed: the key is encoded and
+    fed once, and that state is copied for the second stream."""
     if not 0 < weight < math.inf:
         raise ValueError("weight must be positive and finite, got %r" % (weight,))
     h = keyed.copy()
@@ -83,7 +85,7 @@ def _zz_rank_keyed(keyed, key, weight: float, stream: int):
     h.update(_STREAM_BYTE[stream & 0xFF])
     tie.update(_STREAM_BYTE[(stream + 1) & 0xFF])
     r1 = _weight_level(weight) + geometric_from_bits(int.from_bytes(h.digest(), "little"))
-    return (r1, int.from_bytes(tie.digest(), "little") & 0xFFFFFFFF)
+    return (r1 << 32) | (int.from_bytes(tie.digest(), "little") & 0xFFFFFFFF)
 
 
 def _weight_level(weight: float) -> int:
@@ -91,11 +93,11 @@ def _weight_level(weight: float) -> int:
     return math.floor(math.log2(weight))
 
 
-def zz_rerank(rank, old_weight: float, new_weight: float):
-    """The ``zz_rank`` of a key at ``new_weight``, from its rank at
+def zz_rerank(rank: int, old_weight: float, new_weight: float) -> int:
+    """The packed rank of a key at ``new_weight``, from its packed rank at
     ``old_weight``: the geometric draw and the tie-breaker do not depend on
     the weight, so no oracle call is needed."""
-    return (rank[0] - _weight_level(old_weight) + _weight_level(new_weight), rank[1])
+    return rank + ((_weight_level(new_weight) - _weight_level(old_weight)) << 32)
 
 
 def _wins(rank_a, key_a, rank_b, key_b):
@@ -421,10 +423,14 @@ class _PrecedenceTree(_BST):
         # the weight a node's rank was drawn at, from its stored weight
         return weight
 
+    # a node's rank as the fingerprint prints it
+    _show_rank = repr
+
     def fingerprint(self) -> bytes:
         """Canonical serialization: preorder topology, and each node's
         key, rank and the weight its rank was drawn at."""
         drawn = self._drawn_weight
+        show = self._show_rank
         parts = ["%s;seed=%d;n=%d;" % (self.kind, self.seed, self._n)]
         stack = [self._root]
         while stack:
@@ -432,7 +438,7 @@ class _PrecedenceTree(_BST):
             if node is None:
                 parts.append(".")
                 continue
-            parts.append("(%r:%r:%r)" % (node.key, node.rank, drawn(node.weight)))
+            parts.append("(%r:%s:%r)" % (node.key, show(node.rank), drawn(node.weight)))
             stack.append(node.right)
             stack.append(node.left)
         return ("".join(parts) + "|payload=").encode() + self._payload_digest()
@@ -451,11 +457,17 @@ class ZipZipTree(_PrecedenceTree):
     that moves it (the paired dict's fallback side) gets rank draws
     independent of a tree over the same keys and seed.  Ranks come from
     ``_hasher``, the seed's ``keyed_hasher``, built once per tree; its
-    state is a function of the seed alone.
+    state is a function of the seed alone.  A node's ``rank`` is the
+    packed int of its ``zz_rank`` pair; the fingerprint prints the pair.
     """
 
     kind = "zipzip"
     _stream = 0
+
+    @staticmethod
+    def _show_rank(rank):
+        # repr((r1, r2)); two shifts cost less than divmod's long division
+        return "(%d, %d)" % (rank >> 32, rank & 0xFFFFFFFF)
 
     def __init__(self, seed: int):
         _BST.__init__(self, seed)

@@ -96,13 +96,13 @@ class ThresholdedDict(ZipZipTree):
         # f >= top iff f/2 >= 2**max(was, now); f < bottom iff f/2 < 2**min
         top = 2.0 ** (max(was, now) + 1)
         bottom = 2.0 ** (min(was, now) + 1)
-        shift = now - was
+        # the rank change of a key below both floors: that of the floor weight
+        shift = zz_rerank(0, threshold(0.0, old), threshold(0.0, N))
         nodes = list(self._inorder())
         for node in nodes:
             f = node.weight
             if f < bottom:
-                r1, r2 = node.rank
-                node.rank = (r1 + shift, r2)
+                node.rank += shift
             elif f < top:
                 node.rank = zz_rerank(node.rank, threshold(f, old), threshold(f, N))
         self._link_sorted(nodes)

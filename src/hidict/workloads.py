@@ -59,10 +59,16 @@ def adversarial_rank(i: int, n: int, delta: float) -> int:
     """Noisy rank i*(1-delta) + delta*(n-i+1), rounded half-up and clamped."""
     if not 1 <= i <= n:
         raise ValueError("rank out of range")
+    return int(_adversarial_ranks(i, n, delta))
+
+
+def _adversarial_ranks(i, n: int, delta: float):
+    """``adversarial_rank`` of ``i``, an int or an int array of ranks in
+    [1, n], in float64 arithmetic either way."""
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must be in [0, 1], got %r" % (delta,))
     raw = i * (1.0 - delta) + delta * (n - i + 1)
-    return min(n, max(1, math.floor(raw + 0.5)))
+    return np.clip(np.floor(raw + 0.5), 1, n).astype(np.int64)
 
 
 def assigned_frequencies(spec: WorkloadSpec) -> np.ndarray:
@@ -73,10 +79,7 @@ def assigned_frequencies(spec: WorkloadSpec) -> np.ndarray:
     in which case the vector is renormalized.
     """
     base = spec.base_frequencies()
-    idx = np.array(
-        [adversarial_rank(i, spec.n, spec.delta) - 1 for i in range(1, spec.n + 1)]
-    )
-    assigned = base[idx]
+    assigned = base[_adversarial_ranks(np.arange(1, spec.n + 1), spec.n, spec.delta) - 1]
     total = assigned.sum()
     if total > 1.0 + 1e-6:
         assigned = assigned / total

@@ -71,6 +71,19 @@ def test_svg_bar_chart(tmp_path):
         assert name in text
 
 
+def test_one_alpha_chart_shows_its_alpha(tmp_path):
+    # zipf-param varies alpha at one n, so alpha is the x axis even for
+    # a single alpha
+    rows = run_zipf_param(["avl", "zipzip"], alphas=[2.0], n=500, queries=100, trials=1)
+    path = tmp_path / "z.svg"
+    emit_svg(rows, str(path))
+    text = path.read_text()
+    assert 'text-anchor="middle">alpha</text>' in text
+    assert 'text-anchor="middle">n</text>' not in text
+    assert 'text-anchor="middle">2</text>' in text
+    assert 'text-anchor="middle">500</text>' not in text
+
+
 def test_svg_line_chart(tmp_path):
     # every test but zipf-param is drawn as lines
     rows = run_noisy_zipf(["avl", "zipzip", "biased-zipzip"],

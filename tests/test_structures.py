@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,6 +91,27 @@ _RANK_KEYS = (
 _RANK_SEEDS = (0, -3, 2**64 + 5, 2**70 - 1)
 
 
+def _pack(r1, r2):
+    # how a tree stores the zz_rank pair (r1, r2): one int
+    return (r1 << 32) | r2
+
+
+_TIE_BREAKERS = st.one_of(st.sampled_from([0, 1, 2**31, 2**32 - 1]),
+                          st.integers(0, 2**32 - 1))
+
+
+@given(st.tuples(st.integers(-1100, 100), _TIE_BREAKERS),
+       st.tuples(st.integers(-1100, 100), _TIE_BREAKERS))
+def test_packed_rank_orders_as_the_pair_and_decodes_to_it(a, b):
+    pa, pb = _pack(*a), _pack(*b)
+    assert (pa < pb) == (a < b)
+    assert (pa == pb) == (a == b)
+    # zz_rank decodes by divmod; the fingerprint prints the pair
+    for pair, packed in ((a, pa), (b, pb)):
+        assert divmod(packed, 2**32) == pair
+        assert ZipZipTree._show_rank(packed) == repr(pair)
+
+
 def test_zz_rank_equals_the_reference_oracle():
     for seed in _RANK_SEEDS:
         for keys in _RANK_KEYS:
@@ -123,11 +145,14 @@ def test_tree_ranks_equal_zz_rank_and_the_reference_oracle(make, monkeypatch):
             for tree in sides:
                 for node in tree._inorder():
                     args = (seed, node.key, tree._drawn_weight(node.weight), tree._stream)
-                    assert node.rank == zz_rank(*args) == _reference_rank(*args), args
+                    assert type(node.rank) is int, args
+                    assert (divmod(node.rank, 2**32) == zz_rank(*args)
+                            == _reference_rank(*args)), args
+                    assert tree._show_rank(node.rank) == repr(zz_rank(*args)), args
             trees[seed, keys[-1]] = d.fingerprint()
     # the same structures with every rank drawn by the reference zz_rank
     monkeypatch.setattr(ZipZipTree, "_rank",
-                        lambda self, key, w: zz_rank(self.seed, key, w, self._stream))
+                        lambda self, key, w: _pack(*zz_rank(self.seed, key, w, self._stream)))
     for seed in _RANK_SEEDS:
         for keys in _RANK_KEYS:
             ref = make(seed)
@@ -727,6 +752,29 @@ def test_node_count_tracks_updates():
 
 
 # ----------------------------------------------------------- property tests
+
+@pytest.mark.parametrize("make, bound", [
+    (lambda: ZipZipTree(3), 150),
+    (lambda: PairedDict(3), 300),
+], ids=["zipzip", "paired"])
+def test_bytes_per_key(make, bound):
+    # what a 10,000-key tree allocates per key, its keys and weights not
+    # counted: a zip-zip node holds its rank as one int, not a pair
+    n = 10_000
+    keys = random.Random(4).sample(range(10**9), n)
+    weights = [(i + 1) / n for i in range(n)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        d = make()
+        for key, w in zip(keys, weights):
+            d.insert(key, w)
+        per_key = (tracemalloc.get_traced_memory()[0] - before) / n
+    finally:
+        tracemalloc.stop()
+    assert len(d) == n
+    assert per_key <= bound, per_key
+
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(1, 64), unique=True, min_size=1, max_size=32),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -95,6 +97,30 @@ def test_adversarial_rank_domain_errors():
         adversarial_rank(11, 10, 0.5)
     with pytest.raises(ValueError):
         adversarial_rank(1, 10, 1.5)
+
+
+def _scalar_rank(i, n, delta):
+    # the noisy rank rule, one key at a time in Python floats
+    return min(n, max(1, math.floor(i * (1.0 - delta) + delta * (n - i + 1) + 0.5)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 999, 1000, 2000])
+@pytest.mark.parametrize("delta", [0.0, 0.3, 0.5, 0.9, 1.0, 1 / 3])
+def test_assigned_frequencies_follow_the_scalar_rule(n, delta):
+    # the vectorized ranks pick, key by key, the base frequency the scalar
+    # rule picks, to the byte
+    spec = WorkloadSpec("zipfian", n, 1.5, delta)
+    idx = [_scalar_rank(i, n, delta) - 1 for i in range(1, n + 1)]
+    assert [adversarial_rank(i, n, delta) for i in range(1, n + 1)] == [j + 1 for j in idx]
+    expect = spec.base_frequencies()[idx]
+    if expect.sum() > 1.0 + 1e-6:
+        expect = expect / expect.sum()
+    assert assigned_frequencies(spec).tobytes() == expect.tobytes()
+
+
+def test_assigned_frequencies_reject_a_bad_delta():
+    with pytest.raises(ValueError, match="delta must be in"):
+        assigned_frequencies(WorkloadSpec("zipfian", 5, 1.0, 1.5))
 
 
 def test_assigned_frequencies_reversal():
