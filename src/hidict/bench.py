@@ -159,10 +159,9 @@ def run_inverse_power(structures: Sequence[str], n_values: Sequence[int] = DEFAU
 
 
 def run_size(structures: Sequence[str], n_values: Sequence[int] = DEFAULT_N_LIST,
-             alpha: float = 2.0, master_seed: int = 0,
-             gamma: float = 1.0) -> List[BenchRow]:
-    """Node-count measurement under Zipfian weights; no queries."""
-    specs = [WorkloadSpec("zipfian", n, alpha, 0.0, 0) for n in n_values]
+             master_seed: int = 0, gamma: float = 1.0) -> List[BenchRow]:
+    """Node-count measurement under Zipf(2) weights; no queries."""
+    specs = [WorkloadSpec("zipfian", n, 2.0, 0.0, 0) for n in n_values]
     return _sweep("size", structures, specs, 1, master_seed, gamma)
 
 

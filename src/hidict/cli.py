@@ -29,18 +29,9 @@ def _count(text):
     return value
 
 
-def _positive_int(text):
-    return _list(text, _count, "an integer >= 1", split=False)[0]
-
-
-def _int_list(text):
-    return _list(text, _count, "comma-separated integers >= 1")
-
-
-def _float_list(check, split=True):
-    """Comma-separated numbers, or one unless ``split``, each passing
-    ``check``: the library's own test of the value, whose ValueError
-    message is the usage error."""
+def _checked(check):
+    """A float converter whose value must pass ``check``: the library's
+    own test of the value, whose ValueError message is the usage error."""
     def convert(text):
         value = float(text)
         try:
@@ -48,23 +39,22 @@ def _float_list(check, split=True):
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
         return value
-    expected = "comma-separated numbers" if split else "a number"
-    return lambda text: _list(text, convert, expected, split)
+    return convert
 
 
-def _one_float(check):
-    return lambda text: _float_list(check, split=False)(text)[0]
-
-
-def _list(text, convert, expected, split=True):
-    # argparse would name the converter in a ValueError's message
-    try:
-        values = [convert(x) for x in (text.split(",") if split else [text]) if x]
-    except ValueError:
-        values = []
-    if not values:
-        raise argparse.ArgumentTypeError("expected %s, got %r" % (expected, text))
-    return values
+def _value(convert, expected, split=False):
+    """The argparse type of one value, or with ``split`` of a list of
+    comma-separated values, each read by ``convert``."""
+    def parse(text):
+        # argparse would name the converter in a ValueError's message
+        try:
+            values = [convert(x) for x in (text.split(",") if split else [text]) if x]
+        except ValueError:
+            values = []
+        if not values:
+            raise argparse.ArgumentTypeError("expected %s, got %r" % (expected, text))
+        return values if split else values[0]
+    return parse
 
 
 def _structures(text):
@@ -81,18 +71,21 @@ def _structures(text):
     return names
 
 
+_POSITIVE_INT = _value(_count, "an integer >= 1")
+_INT_LIST = _value(_count, "comma-separated integers >= 1", split=True)
+
 # flag -> argparse options; the dest is the bench runner's keyword.
 # --alpha is checked by the test's law, so _add_bench adds it
 _BENCH_FLAGS = {
-    "--n": dict(type=_positive_int),
-    "--n-list": dict(dest="n_values", type=_int_list, metavar="N_LIST"),
-    "--delta": dict(type=_one_float(lambda delta: adversarial_rank(1, 1, delta))),
-    "--queries": dict(type=_positive_int),
-    "--trials": dict(type=_positive_int),
+    "--n": dict(type=_POSITIVE_INT),
+    "--n-list": dict(dest="n_values", type=_INT_LIST, metavar="N_LIST"),
+    "--delta": dict(type=_value(_checked(lambda delta: adversarial_rank(1, 1, delta)),
+                                "a number")),
+    "--queries": dict(type=_POSITIVE_INT),
+    "--trials": dict(type=_POSITIVE_INT),
 }
 
-# bench test -> (runner, its frequency law, the flags passed to it); size
-# always runs at run_size's alpha of 2
+# bench test -> (runner, its frequency law, the flags passed to it)
 _BENCH_TESTS = {
     "zipf-param": (bench.run_zipf_param, zipf_frequencies, ("--n", "--queries", "--trials")),
     "noisy-zipf": (bench.run_noisy_zipf, zipf_frequencies,
@@ -110,18 +103,20 @@ def _add_bench(p, test):
     """Register the flags passed to ``test``'s runner.  A flag left out
     is absent from the namespace, so the runner applies its own default."""
     _, law, flags = _BENCH_TESTS[test]
-    alpha = lambda value: law(1, value)  # the law checks its alpha
+    alpha = _checked(lambda value: law(1, value))  # the law checks its alpha
+    one_alpha = _value(alpha, "a number")
     if test == "zipf-param":
         # the sweep varies alpha; --alpha runs one value
         alphas = p.add_mutually_exclusive_group()
-        alphas.add_argument("--alpha-list", dest="alphas", type=_float_list(alpha),
-                            metavar="ALPHA_LIST")
-        alphas.add_argument("--alpha", dest="alphas", type=_float_list(alpha, split=False),
-                            metavar="ALPHA")
+        alphas.add_argument("--alpha-list", dest="alphas", metavar="ALPHA_LIST",
+                            type=_value(alpha, "comma-separated numbers", split=True))
+        alphas.add_argument("--alpha", dest="alphas", metavar="ALPHA",
+                            type=lambda text: [one_alpha(text)])
     for flag in flags:
-        options = dict(type=_one_float(alpha)) if flag == "--alpha" else _BENCH_FLAGS[flag]
+        options = dict(type=one_alpha) if flag == "--alpha" else _BENCH_FLAGS[flag]
         p.add_argument(flag, **options)
-    p.add_argument("--gamma", type=_one_float(lambda gamma: PairedDict(0, gamma=gamma)),
+    p.add_argument("--gamma", type=_value(_checked(lambda gamma: PairedDict(0, gamma=gamma)),
+                                          "a number"),
                    help="paired search budget coefficient (presets: 1.3863, 3.82)")
     p.add_argument("--seed", dest="master_seed", type=int, metavar="SEED")
     p.add_argument("--structures", type=_structures,
@@ -144,12 +139,12 @@ def build_parser():
     v = sub.add_parser("verify", help="history-independence verification")
     vsub = v.add_subparsers(dest="mode", required=True)
     vs = vsub.add_parser("shi")
-    vs.add_argument("--universe", type=_positive_int, default=128)
-    vs.add_argument("--trials", type=_positive_int, default=1000)
+    vs.add_argument("--universe", type=_POSITIVE_INT, default=128)
+    vs.add_argument("--trials", type=_POSITIVE_INT, default=1000)
     vs.add_argument("--seed", type=int, default=0)
     vw = vsub.add_parser("whi")
-    vw.add_argument("--n-list", type=_int_list, default=[5, 16, 33])
-    vw.add_argument("--samples", type=_positive_int, default=10_000)
+    vw.add_argument("--n-list", type=_INT_LIST, default=[5, 16, 33])
+    vw.add_argument("--samples", type=_POSITIVE_INT, default=10_000)
     vw.add_argument("--seed", type=int, default=0)
 
     d = sub.add_parser("demo", help="demonstrations")

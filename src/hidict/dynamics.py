@@ -24,7 +24,7 @@ from typing import Optional
 
 from .core import MissingKeyError
 from .structures import ZipZipTree, _PrecedenceTree
-from .thresholding import ThresholdedDict, _valid_cutoff
+from .thresholding import ThresholdedDict
 
 AMORTIZED_INITIAL_CUTOFF = 4
 WHI_INITIAL_CUTOFF = 1
@@ -145,7 +145,7 @@ class DynamicThresholdDict(_CutoffScheme, ThresholdedDict):
     """``ThresholdedDict`` whose cutoff N follows the scheme step.
 
     A due rebuild moves every rank to the new N and relinks the tree
-    (``ThresholdedDict._rethreshold``), so the tree is a function of
+    (the inherited ``rebuild``), so the tree is a function of
     (contents, seed, N); beside it the dict holds only N, the scheme, its
     RNG, ``random.Random(scheme_seed)``, and the tree's keyed hasher, whose
     state is the seed alone.  The tree rejects a bad f or key before the
@@ -165,11 +165,6 @@ class DynamicThresholdDict(_CutoffScheme, ThresholdedDict):
     def delete(self, key):
         _PrecedenceTree.delete(self, key)
         self._after_delete()
-
-    def rebuild(self, N: int):
-        """Move every rank to cutoff N.  N is the scheme's cutoff, not a
-        capacity, so any valid N is taken, below the size too."""
-        self._rethreshold(_valid_cutoff(N))
 
 
 def counterexample_structures(seed: int = 0):

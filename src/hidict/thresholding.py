@@ -70,15 +70,9 @@ class ThresholdedDict(ZipZipTree):
         return threshold(f, self.N)
 
     def rebuild(self, N: int):
-        """Re-threshold every key at a new capacity N (``_rethreshold``).
-        An N below the size raises ``CapacityError`` and changes nothing."""
-        if _valid_cutoff(N) < self._n:
-            raise CapacityError("capacity %d is below the size %d" % (N, self._n))
-        self._rethreshold(N)
-
-    def _rethreshold(self, N: int):
-        """Re-threshold every key at a valid cutoff N and relink the tree
-        in O(n).
+        """Re-threshold every key at a new cutoff N in O(n).  An N below the
+        size raises ``CapacityError`` and changes nothing: N >= n always, here
+        and in ``DynamicThresholdDict``, as the weight-sum bound needs.
 
         A rank's weight level is ``max(level(f/2), level(1/(2N)))``, so a
         rebuild that keeps the floor level of ``1/(2N)`` moves no rank and
@@ -88,6 +82,8 @@ class ThresholdedDict(ZipZipTree):
         through ``zz_rerank``.  A rebuild hashes no key and allocates no
         node; the result equals a fresh build at N.
         """
+        if _valid_cutoff(N) < self._n:
+            raise CapacityError("cutoff %d is below the size %d" % (N, self._n))
         old, self.N = self.N, N
         was = _weight_level(threshold(0.0, old))
         now = _weight_level(threshold(0.0, N))

@@ -50,6 +50,9 @@ def test_run_deterministic(tmp_path):
 def test_emit_rejects_empty_and_unwritable(tmp_path):
     with pytest.raises(ValueError):
         emit_csv([], str(tmp_path / "x.csv"))
+    with pytest.raises(ValueError):
+        emit_svg([], str(tmp_path / "x.svg"))
+    assert list(tmp_path.iterdir()) == []
     rows = small_rows(trials=1)
     with pytest.raises(OSError, match="cannot write CSV to "):
         emit_csv(rows, str(tmp_path / "missing" / "x.csv"))

@@ -55,7 +55,8 @@ def test_bad_values_name_the_flag_not_the_converter(argv, flag, capsys):
     assert e.value.code == 2
     err = capsys.readouterr().err
     assert "argument %s: expected " % flag in err
-    for name in ("_int_list", "_float_list", "_one_float", "_positive_int", "_count"):
+    # the helpers, and the name argparse would show: that of _value's closure
+    for name in ("_value", "_checked", "_count", "parse", "convert"):
         assert name not in err
 
 

@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 
 import hidict.structures
-from hidict.core import DuplicateKeyError, MissingKeyError, keyed_hasher
+from hidict.core import CapacityError, DuplicateKeyError, MissingKeyError, keyed_hasher
 from hidict.dynamics import (
     AMORTIZED_INITIAL_CUTOFF,
     CutoffSimulator,
@@ -174,6 +174,32 @@ def test_expected_update_cost_logarithmic():
     assert sim.key_moves / sim.operations <= 8 * math.log2(1000)
 
 
+def test_schemes_never_rebuild_below_the_size(monkeypatch):
+    # a rebuild refuses N < n, so no scheme step may ask for one: churn
+    # both schemes through growth, shrinkage and emptying
+    rebuild = CutoffSimulator.rebuild
+    requested = []
+
+    def checked(self, N):
+        requested.append((self.n, N))
+        return rebuild(self, N)
+
+    monkeypatch.setattr(CutoffSimulator, "rebuild", checked)
+    for scheme in ("whi", "amortized"):
+        for seed in range(40):
+            sim = CutoffSimulator(scheme, random.Random(seed))
+            rng = random.Random(~seed)
+            for step in range(3000):
+                grow = (0.8, 0.4, 0.0)[(step // 500) % 3]
+                if not sim.n or rng.random() < grow:
+                    sim.insert()
+                else:
+                    sim.delete()
+                assert sim.N >= sim.n
+    assert len(requested) > 10_000
+    assert all(N >= n for n, N in requested)
+
+
 # ------------------------------------------------- dynamic threshold dict
 
 def test_rebuild_determinism():
@@ -233,12 +259,21 @@ def test_rebuild_equals_fresh_sorted_build(monkeypatch):
         d._hasher = hasher = _CountingHasher(d._hasher)
         for N in cutoffs:
             nodes = list(d._inorder())
+            before = (d.N, d.fingerprint())
+            refused = N < len(d)
             monkeypatch.setattr(hidict.structures, "_key_bytes", counting_key_bytes)
-            d.rebuild(N)
+            if refused:
+                with pytest.raises(CapacityError):
+                    d.rebuild(N)
+            else:
+                d.rebuild(N)
             monkeypatch.undo()
             assert (encoded, hasher.copies) == ([], 0)
             # relinked in place: the same node objects, none allocated
             assert all(a is b for a, b in zip(nodes, d._inorder()))
+            if refused:
+                assert (d.N, d.fingerprint()) == before
+                continue
             ref = ZipZipTree(case)
             for k in sorted(freqs):
                 ref.insert(k, threshold(freqs[k], N), payloads[k])
@@ -261,29 +296,54 @@ def _boundary_frequencies():
     return sorted(out)
 
 
+def _rebuild_equals_fresh_build(d, seed, freqs, N):
+    """Rebuild ``d``, holding key k at freqs[k] for k in ``freqs``, at N;
+    compare it with a fresh build at N and check that a rank that does not
+    move keeps its object."""
+    was, now = _floor_level(d.N), _floor_level(N)
+    ranks = {node.key: node.rank for node in d._inorder()}
+    d.rebuild(N)
+    ref = ZipZipTree(seed)
+    for k in sorted(freqs):
+        ref.insert(k, threshold(freqs[k], N))
+    assert d.fingerprint() == d.header() + ref.fingerprint(), (N, was, now)
+    for node in d._inorder():
+        if was == now or node.weight / 2 >= 2.0 ** max(was, now):
+            assert node.rank is ranks[node.key], (N, node.weight)
+    d.check_invariants()
+
+
 def test_rebuild_boundaries_equal_fresh_build_and_keep_unmoved_ranks():
     cutoffs = [1]
     for k in range(1, 12):
         cutoffs += [2 ** k - 1, 2 ** k, 2 ** k + 1]
     cutoffs += [3, 2048, 2, 1025, 1, 64, 63, 65, 4095, 5, 1]
-    freqs = _boundary_frequencies()
+    freqs = dict(enumerate(_boundary_frequencies()))
+    levels = set()
     for seed in range(3):
         d = DynamicThresholdDict(seed, scheme="whi", scheme_seed=seed)
-        for k, f in enumerate(freqs):
+        for k, f in freqs.items():
             d.insert(k, f)
         for N in cutoffs:
-            was, now = _floor_level(d.N), _floor_level(N)
-            ranks = {node.key: node.rank for node in d._inorder()}
-            d.rebuild(N)
-            ref = ZipZipTree(seed)
-            for k, f in enumerate(freqs):
-                ref.insert(k, threshold(f, N))
-            assert d.fingerprint() == d.header() + ref.fingerprint(), (N, was, now)
-            # a rank that does not move keeps its object
-            for node in d._inorder():
-                if was == now or node.weight / 2 >= 2.0 ** max(was, now):
-                    assert node.rank is ranks[node.key], (N, node.weight)
-            d.check_invariants()
+            levels.add(_floor_level(N))
+            if N >= len(d):
+                _rebuild_equals_fresh_build(d, seed, freqs, N)
+                continue
+            before = (d.N, d.fingerprint())
+            with pytest.raises(CapacityError):
+                d.rebuild(N)
+            assert (d.N, d.fingerprint()) == before
+            # the refused rebuild, from the same cutoff, on chunks of at
+            # most N of the keys
+            for start in range(0, len(freqs), N):
+                chunk = {k: freqs[k] for k in range(start, min(start + N, len(freqs)))}
+                small = DynamicThresholdDict(seed, scheme="whi", scheme_seed=seed)
+                for k, f in chunk.items():
+                    small.insert(k, f)
+                small.rebuild(d.N)
+                _rebuild_equals_fresh_build(small, seed, chunk, N)
+    # every floor level from -1 to -13 gets a real rebuild
+    assert levels == set(range(-13, 0))
 
 
 def _rebuild_calls(d, N):
@@ -371,6 +431,11 @@ def test_dynamic_dict_empty_reset():
         a.delete(k)
         sim.delete()
     assert a.N == sim.N == AMORTIZED_INITIAL_CUTOFF
+    # an empty simulator has nothing to delete and counts no operation
+    operations = sim.operations
+    with pytest.raises(MissingKeyError):
+        sim.delete()
+    assert (sim.n, sim.N, sim.operations) == (0, AMORTIZED_INITIAL_CUTOFF, operations)
 
 
 def test_simulator_validates_scheme():

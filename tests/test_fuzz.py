@@ -9,8 +9,9 @@ step, each history-independent structure's fingerprint must equal that of
 a fresh build of the model's contents in sorted order; for the dynamic
 dicts the fresh build is then rebuilt at the same cutoff N.  That is
 unique representation, checked on the real structures.  Each thresholded
-dict (the paired dict's learned side included) must also report the
-model's raw frequency for every key and the fresh build's weight sum.
+dict (the paired dict's learned side included) must also keep its
+cutoff N at least its size and report the model's raw frequency for
+every key and the fresh build's weight sum.
 The AVL tree depends on its history by design, so its replies, its keys
 and its own invariants (exact heights, balance in [-1, 1]) are checked.
 """
@@ -144,6 +145,8 @@ class DictionaryContract(RuleBasedStateMachine):
             assert s.fingerprint() == fresh.fingerprint(), name
             side = getattr(s, "learned", s)
             if isinstance(side, ThresholdedDict):
+                # the cutoff never drops below the size: the weight-sum bound
+                assert side.N >= len(side), name
                 assert [side.raw_frequency(k) for k, _, _ in entries] == [f for _, f, _ in entries]
                 assert side.stored_weight_sum() == getattr(fresh, "learned", fresh).stored_weight_sum()
 

@@ -3,7 +3,8 @@ from collections import Counter
 
 import pytest
 
-from hidict.dynamics import CutoffSimulator
+import hidict.hiverify
+from hidict.dynamics import CutoffSimulator, DynamicThresholdDict
 from hidict.hiverify import (
     amortized_counterexample_check,
     detour_strategy,
@@ -66,9 +67,21 @@ def test_shi_randomized_needs_a_trial():
         shi_check(lambda: ZipZipTree(1), universe_size=7, trials=-1)
 
 
-def test_amortized_counterexample_check():
+def test_amortized_counterexample_check(monkeypatch):
     report = amortized_counterexample_check(seed=1)
     assert report.mismatches == 1 and not report.passed
+
+    # the control rests on equal contents: dicts with different keys are
+    # an error, not a counted mismatch, under python -O too
+    def unequal(seed):
+        x, y = DynamicThresholdDict(seed), DynamicThresholdDict(seed)
+        x.insert(1, 0.5)
+        y.insert(2, 0.5)
+        return x, y
+
+    monkeypatch.setattr(hidict.hiverify, "counterexample_structures", unequal)
+    with pytest.raises(ValueError, match="different keys"):
+        amortized_counterexample_check(seed=1)
 
 
 def test_total_variation_basics():

@@ -148,12 +148,18 @@ def test_static_rebuild_below_the_size_is_refused():
     d.rebuild(9)
     d.rebuild(8)  # the size itself is a valid capacity
     assert (d.N, d.fingerprint()) == (8, before)
-    # the dynamic dict's N is the scheme's cutoff, not a capacity
+    # the dynamic dict runs the same rebuild: its scheme never asks for
+    # an N below the size, and a manual call may not either
+    assert DynamicThresholdDict.rebuild is ThresholdedDict.rebuild
     dyn = DynamicThresholdDict(1, scheme="whi", scheme_seed=0)
     for k in range(8):
         dyn.insert(k, 0.0)
-    dyn.rebuild(2)
-    assert dyn.N == 2 and dyn.stored_weight_sum() == 2.0
+    state = (dyn.N, dyn.fingerprint(), dyn.stored_weight_sum())
+    assert state[2] <= 1.0
+    for N in (7, 2, 1):
+        with pytest.raises(CapacityError):
+            dyn.rebuild(N)
+        assert (dyn.N, dyn.fingerprint(), dyn.stored_weight_sum()) == state
 
 
 def test_duplicate_and_missing():

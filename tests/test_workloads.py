@@ -58,6 +58,8 @@ def test_distribution_domain_errors():
         zipf_frequencies(5, 0.5)
     with pytest.raises(ValueError):
         inverse_power_frequencies(5, 1.0)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        inverse_power_frequencies(0, 1.5)
     with pytest.raises(ValueError):
         WorkloadSpec("bogus", 5, 2.0, 0.0).base_frequencies()
 
