@@ -9,7 +9,9 @@ independent under dynamic updates without any rebuild schedule.
 
 from __future__ import annotations
 
+import hashlib
 import math
+from math import log2
 from typing import Optional
 
 from .structures import SearchResult, ZipZipTree, _PrecedenceTree
@@ -71,10 +73,16 @@ class PairedDict(ZipZipTree):
     def check_invariants(self):
         _PrecedenceTree.check_invariants(self)
         self.learned.check_invariants()
-        assert self.learned.keys() == self.keys()
+        # the fingerprint's shared payload digest rests on this
+        assert self.learned.items() == self.items()
 
     def search_budget(self) -> int:
-        return max(1, math.floor(self.gamma * math.log2(max(self._n, 2))))
+        # int() is floor for the positive product; not max() or floor():
+        # their calls cost more than the first levels of the search.  The
+        # size is read, never cached: a cache would record past searches
+        n = self._n
+        budget = int(self.gamma * log2(n if n > 2 else 2))
+        return budget if budget > 1 else 1
 
     def search(self, key) -> SearchResult:
         # an empty pair ends here too: the learned descent concludes at
@@ -95,6 +103,12 @@ class PairedDict(ZipZipTree):
         return self.learned.node_count() + self._n
 
     def fingerprint(self) -> bytes:
+        """The learned side's fingerprint, then the fallback's.  The tandem
+        invariant gives both sides the same key/payload sequence, so one
+        walk collects the payload entries and both share their digest."""
         cap = -1 if self.capacity is None else self.capacity
         head = b"paired;gamma=%s;cap=%d;" % (repr(self.gamma).encode(), cap)
-        return head + self.learned.fingerprint() + b"|" + _PrecedenceTree.fingerprint(self)
+        entries = []
+        learned = self.learned.header() + self.learned._walk(entries)
+        payload = b"|payload=" + hashlib.sha256(b"".join(entries)).digest()
+        return head + learned + payload + b"|" + self._walk(None) + payload

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import struct
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,6 +25,7 @@ from .core import (
     MissingKeyError,
     ComparisonTally,
     KEY_TYPES,
+    MASK64,
     _key_bytes,
     geometric_from_bits,
     key_type_error,
@@ -98,6 +100,17 @@ def zz_rerank(rank: int, old_weight: float, new_weight: float) -> int:
     ``old_weight``: the geometric draw and the tie-breaker do not depend on
     the weight, so no oracle call is needed."""
     return rank + ((_weight_level(new_weight) - _weight_level(old_weight)) << 32)
+
+
+_DOUBLE = struct.Struct("<d")
+
+
+def _order_bits(f: float) -> int:
+    """An int that orders as the float ``f`` does, -0.0 and 0.0 alike: the
+    IEEE bits of a non-negative f, the negated magnitude bits of a negative
+    one."""
+    bits = int.from_bytes(_DOUBLE.pack(f), "little", signed=True)
+    return bits if bits >= 0 else -(bits & 0x7FFFFFFFFFFFFFFF)
 
 
 def _wins(rank_a, key_a, rank_b, key_b):
@@ -253,7 +266,8 @@ class _PrecedenceTree(_BST):
 
     kind = "precedence"
 
-    # subclasses provide the rank for a (key, weight-or-frequency)
+    # subclasses provide the rank for a (key, weight-or-frequency), and
+    # ``_show_rank(rank, weight)``, the rank's text in the fingerprint
     def _rank(self, key, weight):
         raise NotImplementedError
 
@@ -408,40 +422,72 @@ class _PrecedenceTree(_BST):
             attach_node.left = rest
         return root
 
-    def _payload_digest(self) -> bytes:
-        h = hashlib.sha256()
-        for key, payload in self.items():
-            if payload is None:
-                continue
-            h.update(repr(key).encode())
-            h.update(b"=")
-            h.update(payload)
-            h.update(b";")
-        return h.digest()
-
     def _drawn_weight(self, weight):
         # the weight a node's rank was drawn at, from its stored weight
         return weight
 
-    # a node's rank as the fingerprint prints it
-    _show_rank = repr
+    def _drawn_floor(self):
+        # None when every rank was drawn at its node's weight; a float
+        # floor when it was drawn at the thresholded weight
+        # max(weight / 2, floor), which the fingerprint computes inline
+        return None
+
+    def header(self) -> bytes:
+        # what the dict holds beside the tree, at the head of its fingerprint
+        return b""
 
     def fingerprint(self) -> bytes:
-        """Canonical serialization: preorder topology, and each node's
-        key, rank and the weight its rank was drawn at."""
-        drawn = self._drawn_weight
-        show = self._show_rank
+        """Canonical serialization: preorder topology, each node's key, rank
+        and the weight its rank was drawn at, then a sha256 of the
+        ``key=payload;`` entries of the nodes with a payload, in key order."""
+        entries = []
+        shape = self._walk(entries)
+        return self.header() + shape + b"|payload=" + hashlib.sha256(b"".join(entries)).digest()
+
+    def _walk(self, entries) -> bytes:
+        """The fingerprint's one walk: the text of the tree in preorder,
+        and, when ``entries`` is a list, each payload entry appended to it
+        in key order.  The stack loop meets a node in preorder on the way
+        down, where it prints the node (and a ``.`` for each empty child),
+        and in key order on the way up.  A key's repr is taken once, a
+        packed zip-zip rank is printed inline, and the text of each
+        distinct drawn weight once per call."""
+        floor = self._drawn_floor()
+        show = None if isinstance(self, ZipZipTree) else self._show_rank
+        weights = {}
         parts = ["%s;seed=%d;n=%d;" % (self.kind, self.seed, self._n)]
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node is None:
-                parts.append(".")
-                continue
-            parts.append("(%r:%s:%r)" % (node.key, show(node.rank), drawn(node.weight)))
-            stack.append(node.right)
-            stack.append(node.left)
-        return ("".join(parts) + "|payload=").encode() + self._payload_digest()
+        append = parts.append
+        stack = []
+        push, pop = stack.append, stack.pop
+        cur = self._root
+        while True:
+            while cur is not None:
+                key = repr(cur.key)
+                w = cur.weight
+                if floor is not None:
+                    w /= 2.0  # threshold(weight, N), inline
+                    if w <= floor:
+                        w = floor
+                if type(w) is float and w:  # equal floats print alike, but for +-0.0
+                    text = weights.get(w)
+                    if text is None:
+                        text = weights[w] = repr(w)
+                else:
+                    text = repr(w)
+                rank = cur.rank
+                if show is None:  # an f-string formats faster than %
+                    append(f"({key}:({rank >> 32}, {rank & 0xFFFFFFFF}):{text})")
+                else:
+                    append("(%s:%s:%s)" % (key, show(rank, cur.weight), text))
+                push((cur, key))
+                cur = cur.left
+            append(".")
+            if not stack:
+                return "".join(parts).encode()
+            cur, key = pop()
+            if entries is not None and cur.payload is not None:
+                entries.append(b"%s=%s;" % (key.encode(), cur.payload))
+            cur = cur.right
 
     def _check_node(self, node):
         # heap-on-ranks order
@@ -465,8 +511,9 @@ class ZipZipTree(_PrecedenceTree):
     _stream = 0
 
     @staticmethod
-    def _show_rank(rank):
-        # repr((r1, r2)); two shifts cost less than divmod's long division
+    def _show_rank(rank, weight=None):
+        # repr((r1, r2)), as the fingerprint's walk prints it inline; two
+        # shifts cost less than divmod's long division
         return "(%d, %d)" % (rank >> 32, rank & 0xFFFFFFFF)
 
     def __init__(self, seed: int):
@@ -492,7 +539,15 @@ class LTreap(_PrecedenceTree):
         # would tie or fail to compare
         if not math.isfinite(f):
             raise ValueError("L-treap requires a finite frequency estimate, got %r" % (f,))
-        return (f, oracle_value(self.seed, key, 2))
+        # the pair (f, oracle) as one int, which orders as the pair does
+        # because 0 <= oracle < 2**64
+        return (_order_bits(f) << 64) | oracle_value(self.seed, key, 2)
+
+    @staticmethod
+    def _show_rank(rank, f):
+        # repr((f, oracle)); f is the node's weight, which keeps the sign
+        # of a -0.0 that the rank ties with 0.0
+        return "(%r, %d)" % (f, rank & MASK64)
 
 
 class CTreap(_PrecedenceTree):
@@ -506,7 +561,12 @@ class CTreap(_PrecedenceTree):
                              % (f,))
         u = oracle_uniform(self.seed, key, 3)
         # log of u**(1/f); monotone transform, avoids underflow for tiny f
-        return (math.log(u) / f,)
+        return math.log(u) / f
+
+    @staticmethod
+    def _show_rank(rank, weight=None):
+        # repr((rank,)): the fingerprint prints the rank as a one-float tuple
+        return "(%r,)" % (rank,)
 
 
 class AVLTree(_BST):

@@ -69,6 +69,9 @@ class ThresholdedDict(ZipZipTree):
     def _drawn_weight(self, f):
         return threshold(f, self.N)
 
+    def _drawn_floor(self):
+        return threshold(0.0, self.N)
+
     def rebuild(self, N: int):
         """Re-threshold every key at a new cutoff N in O(n).  An N below the
         size raises ``CapacityError`` and changes nothing: N >= n always, here
@@ -129,6 +132,3 @@ class ThresholdedDict(ZipZipTree):
 
     def header(self) -> bytes:
         return b"threshold;cap=%d;" % self.N
-
-    def fingerprint(self) -> bytes:
-        return self.header() + _PrecedenceTree.fingerprint(self)

@@ -64,6 +64,18 @@ def test_budget_formula():
     assert d3.search_budget() == 5
 
 
+@pytest.mark.parametrize("gamma", [0.5, 1.0, GAMMA_EXPECTED_DEPTH, GAMMA_HEIGHT, 2.5])
+def test_budget_equals_the_floor_formula_at_every_size(gamma):
+    # the budget reads only the size, so setting it stands in for n keys
+    d = PairedDict(0, gamma)
+    sizes = range(2**17 + 1)
+    budgets = []
+    for n in sizes:
+        d._n = n
+        budgets.append(d.search_budget())
+    assert budgets == [max(1, math.floor(gamma * math.log2(max(n, 2)))) for n in sizes]
+
+
 def test_search_tally_matches_tentative_then_fallback():
     # within-budget hits cost their learned depth; budget-exhausted searches
     # cost budget + fallback depth, exactly

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import struct
 import sys
 import tracemalloc
 
@@ -23,6 +24,7 @@ from hidict.structures import (
     LTreap,
     ZipZipTree,
     _Node,
+    _order_bits,
     _wins,
     zz_rank,
 )
@@ -335,17 +337,60 @@ def test_range_comparisons_bounded():
 
 # ---------------------------------------------------------------- treaps
 
-def test_treap_priority_l_is_frequency():
+def _float_of_order_bits(order):
+    # the inverse of _order_bits, which maps -0.0 to the order of 0.0
+    bits = order if order >= 0 else -order | 1 << 63
+    return struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+
+
+_ESTIMATES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 0.37, -0.37, 1.0, -1.0,
+                                        sys.float_info.max, -sys.float_info.max]),
+                       st.floats(allow_nan=False, allow_infinity=False))
+_ORACLES = st.one_of(st.sampled_from([0, 1, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1))
+
+
+@given(st.tuples(_ESTIMATES, _ORACLES), st.tuples(_ESTIMATES, _ORACLES))
+def test_treap_priority_l_is_frequency(a, b):
+    # the L-treap stores the priority pair (f, oracle) as one int, which
+    # orders as the pair does and decodes to it, -0.0 tying with 0.0
+    pa, pb = ((_order_bits(f) << 64) | o for f, o in (a, b))
+    assert (pa < pb) == (a < b)
+    assert (pa == pb) == (a == b)
+    for (f, o), packed in ((a, pa), (b, pb)):
+        assert _float_of_order_bits(packed >> 64) == f
+        assert packed & (2**64 - 1) == o
+        # the fingerprint prints the pair, f from the node's weight
+        assert LTreap._show_rank(packed, f) == repr((f, o))
+
+
+@given(st.lists(st.tuples(st.integers(-50, 50), _ESTIMATES), min_size=1, max_size=8,
+                unique_by=lambda kf: kf[0]))
+def test_treap_rank_l_packs_the_frequency_and_oracle_pair(entries):
     t = LTreap(1)
-    t.insert(5, 0.37)
-    assert t._root.rank == (0.37, oracle_value(1, 5, 2))
+    for key, f in entries:
+        t.insert(key, f)
+    pairs = {node.key: (node.weight, oracle_value(1, node.key, 2)) for node in t._inorder()}
+    for node in t._inorder():
+        assert node.rank == (_order_bits(node.weight) << 64) | pairs[node.key][1]
+        for other in t._inorder():
+            assert (node.rank < other.rank) == (pairs[node.key] < pairs[other.key])
+    assert t._root.key == min(pairs, key=lambda k: (-pairs[k][0], -pairs[k][1], k))
 
 
-def test_treap_priority_c_identity_at_f1():
-    # the stored priority is log(u**(1/f)) = log(u)/f, which is log u at f = 1
+@given(st.integers(-50, 50), st.floats(min_value=5e-324, allow_infinity=False),
+       st.integers(-50, 50), st.floats(min_value=5e-324, allow_infinity=False))
+def test_treap_priority_c_identity_at_f1(ka, fa, kb, fb):
+    # the stored priority is the float log(u**(1/f)) = log(u)/f, which is
+    # log u at f = 1; it orders as the one-float tuple it once was
+    ra, rb = CTreap(1)._rank(ka, fa), CTreap(1)._rank(kb, fb)
+    for key, f, rank in ((ka, fa, ra), (kb, fb, rb)):
+        assert type(rank) is float
+        assert rank == math.log(oracle_uniform(1, key, 3)) / f
+        assert CTreap._show_rank(rank) == repr((rank,))
+    assert (ra < rb) == ((ra,) < (rb,))
     t = CTreap(1)
     t.insert(5, 1.0)
-    assert t._root.rank == (math.log(oracle_uniform(1, 5, 3)),)
+    assert t._root.rank == math.log(oracle_uniform(1, 5, 3))
 
 
 def test_ltreap_higher_frequency_is_ancestor():
