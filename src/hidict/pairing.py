@@ -9,7 +9,6 @@ independent under dynamic updates without any rebuild schedule.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from math import log2
 from typing import Optional
@@ -104,11 +103,10 @@ class PairedDict(ZipZipTree):
 
     def fingerprint(self) -> bytes:
         """The learned side's fingerprint, then the fallback's.  The tandem
-        invariant gives both sides the same key/payload sequence, so one
-        walk collects the payload entries and both share their digest."""
+        invariant gives both sides the same key/payload sequence, so the
+        fallback reuses the payload digest that ends the learned side's."""
         cap = -1 if self.capacity is None else self.capacity
         head = b"paired;gamma=%s;cap=%d;" % (repr(self.gamma).encode(), cap)
-        entries = []
-        learned = self.learned.header() + self.learned._walk(entries)
-        payload = b"|payload=" + hashlib.sha256(b"".join(entries)).digest()
-        return head + learned + payload + b"|" + self._walk(None) + payload
+        learned = self.learned.fingerprint()
+        fallback = _PrecedenceTree.fingerprint(self, learned[-32:])  # its sha256
+        return head + learned + b"|" + fallback

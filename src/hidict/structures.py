@@ -436,13 +436,20 @@ class _PrecedenceTree(_BST):
         # what the dict holds beside the tree, at the head of its fingerprint
         return b""
 
-    def fingerprint(self) -> bytes:
+    def fingerprint(self, digest: Optional[bytes] = None) -> bytes:
         """Canonical serialization: preorder topology, each node's key, rank
         and the weight its rank was drawn at, then a sha256 of the
-        ``key=payload;`` entries of the nodes with a payload, in key order."""
-        entries = []
-        shape = self._walk(entries)
-        return self.header() + shape + b"|payload=" + hashlib.sha256(b"".join(entries)).digest()
+        ``key=payload;`` entries of the nodes with a payload, in key order.
+        A ``digest`` given by the caller is printed in place of that
+        sha256, and the walk collects no entries: a paired dict's fallback
+        side takes the learned side's digest."""
+        if digest is None:
+            entries = []
+            shape = self._walk(entries)
+            digest = hashlib.sha256(b"".join(entries)).digest()
+        else:
+            shape = self._walk(None)
+        return self.header() + shape + b"|payload=" + digest
 
     def _walk(self, entries) -> bytes:
         """The fingerprint's one walk: the text of the tree in preorder,
@@ -450,11 +457,13 @@ class _PrecedenceTree(_BST):
         in key order.  The stack loop meets a node in preorder on the way
         down, where it prints the node (and a ``.`` for each empty child),
         and in key order on the way up.  A key's repr is taken once, a
-        packed zip-zip rank is printed inline, and the text of each
-        distinct drawn weight once per call."""
+        packed zip-zip rank is printed inline, and a thresholded tree's
+        floor weight, which most of its nodes are drawn at, is printed
+        from one repr."""
         floor = self._drawn_floor()
+        if floor is not None:
+            floor_text = repr(floor)
         show = None if isinstance(self, ZipZipTree) else self._show_rank
-        weights = {}
         parts = ["%s;seed=%d;n=%d;" % (self.kind, self.seed, self._n)]
         append = parts.append
         stack = []
@@ -463,17 +472,11 @@ class _PrecedenceTree(_BST):
         while True:
             while cur is not None:
                 key = repr(cur.key)
-                w = cur.weight
-                if floor is not None:
-                    w /= 2.0  # threshold(weight, N), inline
-                    if w <= floor:
-                        w = floor
-                if type(w) is float and w:  # equal floats print alike, but for +-0.0
-                    text = weights.get(w)
-                    if text is None:
-                        text = weights[w] = repr(w)
+                if floor is None:
+                    text = repr(cur.weight)
                 else:
-                    text = repr(w)
+                    w = cur.weight / 2.0  # threshold(weight, N), inline
+                    text = floor_text if w <= floor else repr(w)
                 rank = cur.rank
                 if show is None:  # an f-string formats faster than %
                     append(f"({key}:({rank >> 32}, {rank & 0xFFFFFFFF}):{text})")
@@ -539,6 +542,10 @@ class LTreap(_PrecedenceTree):
         # would tie or fail to compare
         if not math.isfinite(f):
             raise ValueError("L-treap requires a finite frequency estimate, got %r" % (f,))
+        if f != float(f):
+            # the rank holds f as a double, so 2**53 + 1 would tie with 2**53
+            raise ValueError("L-treap requires an estimate a double holds exactly, got %r"
+                             % (f,))
         # the pair (f, oracle) as one int, which orders as the pair does
         # because 0 <= oracle < 2**64
         return (_order_bits(f) << 64) | oracle_value(self.seed, key, 2)

@@ -67,3 +67,28 @@ def test_rebuild_hook_sees_every_due_rebuild(monkeypatch):
         return math.floor(math.log2(threshold(0.0, N)))
 
     assert any(level(old) == level(new) for old, new in calls)
+
+
+def test_fingerprint_hook_sees_both_sides_of_a_paired_dict():
+    # structures.fingerprint times every precedence tree's fingerprint; a
+    # paired dict's is its two sides', one span each
+    from hidict.pairing import PairedDict
+    from hidict.structures import ZipZipTree
+
+    spans = _spans()
+    for capacity in (None, 8):
+        d = PairedDict(3, capacity=capacity)
+        for k in range(5):
+            d.insert(k, 0.1 * (k + 1), b"p%d" % k)
+        plain = d.fingerprint()
+        tracer = spans.Tracer()
+        with spans.Hooks(tracer):
+            assert d.fingerprint() == plain
+        names = [span[3] for span in tracer.spans]
+        assert names.count("structures.fingerprint") == 2, names
+    t = ZipZipTree(3)
+    t.insert(1)
+    tracer = spans.Tracer()
+    with spans.Hooks(tracer):
+        t.fingerprint()
+    assert [span[3] for span in tracer.spans].count("structures.fingerprint") == 1

@@ -734,6 +734,21 @@ def test_ltreap_keeps_zero_and_negative_priorities():
     assert t.keys() == [1, 2]
 
 
+def test_ltreap_rejects_an_int_estimate_a_double_cannot_hold():
+    # the rank holds f as a double: ints it holds exactly order exactly,
+    # and one it would round raises before the tree changes
+    t = LTreap(7)
+    for key, f in ((1, 2**53), (2, 2**53 + 2), (3, 2**60), (4, -(2**53) - 2)):
+        t.insert(key, f)
+    assert t._root.key == 3 and t._root.left.key == 2 and t._root.left.left.key == 1
+    before = t.fingerprint()
+    for bad in (2**53 + 1, -(2**53) - 1, 2**60 + 1):
+        with pytest.raises(ValueError, match="exactly"):
+            t.insert(5, bad)
+    assert t.fingerprint() == before and len(t) == 4
+    t.check_invariants()
+
+
 # ----------------------------------------------------- duplicate inserts
 
 def _search_path(t, key):
