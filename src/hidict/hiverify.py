@@ -124,6 +124,13 @@ def total_variation(counts_a: Counter, counts_b: Counter, samples: int) -> float
     return 0.5 * sum(abs(counts_a.get(k, 0) - counts_b.get(k, 0)) for k in keys) / samples
 
 
+def worst_total_variation(distributions: Sequence[Counter], samples: int) -> float:
+    """The largest pairwise TV distance among ``distributions``, each
+    tallied over ``samples`` runs."""
+    return max(total_variation(a, b, samples)
+               for a, b in itertools.combinations(distributions, 2))
+
+
 def whi_check(structure_factory: Callable[[int], object], target_n: int,
               samples: int, strategies: Sequence[Callable[[object], None]],
               seed: int = 0) -> HiReport:
@@ -134,7 +141,9 @@ def whi_check(structure_factory: Callable[[int], object], target_n: int,
     strategy drives it from empty to the same target content set, of
     ``target_n`` keys (a ValueError otherwise), ``samples`` >= 1 times
     each.  Reports the maximum pairwise TV distance between the
-    strategies' empirical N distributions.
+    strategies' empirical N distributions.  The scheme seed of a sample
+    does not depend on ``target_n``, so a run grown further passes through
+    the states of the shorter runs (see ``growth_strategy``).
     """
     if len(strategies) < 2:
         raise ValueError("whi_check needs at least 2 strategies")
@@ -151,27 +160,49 @@ def whi_check(structure_factory: Callable[[int], object], target_n: int,
                                  % (s_idx, obj.n, target_n))
             counts[obj.N] += 1
         distributions.append(counts)
-    worst = 0.0
-    for a, b in itertools.combinations(distributions, 2):
-        worst = max(worst, total_variation(a, b, samples))
-    return HiReport("weak", samples, 0, worst)
+    return HiReport("weak", samples, 0, worst_total_variation(distributions, samples))
+
+
+def growth_strategy(n: int, detours: int = 0,
+                    sizes: Sequence[int] = ()) -> Callable[[object], None]:
+    """Insert keys 1..n; after each of the first ``detours`` keys k, insert
+    and then delete key n + k.
+
+    The run's ``counts`` maps each size m in ``sizes`` to a Counter of the
+    cutoff N read after key m and its detour, where the run holds m keys:
+    the state a run of ``growth_strategy(m, detours)`` ends in, when the
+    structure ignores keys and frequencies (as ``CutoffSimulator`` does).
+    A size outside 1..n, which the run never reaches, is a ValueError.
+    """
+    for m in sizes:
+        if not 1 <= m <= n:
+            raise ValueError("size %r is outside 1..%d, which the run reaches" % (m, n))
+    counts = {m: Counter() for m in sizes}
+    steps = [(k, _trial_frequency(k),
+              (n + k, _trial_frequency(n + k)) if k <= detours else None,
+              counts.get(k))
+             for k in range(1, n + 1)]
+
+    def run(obj):
+        insert, delete = obj.insert, obj.delete
+        for key, f, detour, tally in steps:
+            insert(key, f)
+            if detour is not None:
+                insert(*detour)
+                delete(detour[0])
+            if tally is not None:
+                if obj.n != key:
+                    raise ValueError("the run holds %d keys at size %d" % (obj.n, key))
+                tally[obj.N] += 1
+    run.counts = counts
+    return run
 
 
 def pure_insert_strategy(n: int) -> Callable[[object], None]:
     """Insert keys 1..n in order."""
-    def run(obj):
-        for k in range(1, n + 1):
-            obj.insert(k, _trial_frequency(k))
-    return run
+    return growth_strategy(n)
 
 
 def detour_strategy(n: int, detours: int) -> Callable[[object], None]:
     """Insert 1..n with ``detours`` interleaved insert-then-delete pairs."""
-    def run(obj):
-        for k in range(1, n + 1):
-            obj.insert(k, _trial_frequency(k))
-            if k <= detours:
-                extra = n + k
-                obj.insert(extra, _trial_frequency(extra))
-                obj.delete(extra)
-    return run
+    return growth_strategy(n, detours)

@@ -422,10 +422,6 @@ class _PrecedenceTree(_BST):
             attach_node.left = rest
         return root
 
-    def _drawn_weight(self, weight):
-        # the weight a node's rank was drawn at, from its stored weight
-        return weight
-
     def _drawn_floor(self):
         # None when every rank was drawn at its node's weight; a float
         # floor when it was drawn at the thresholded weight

@@ -66,9 +66,6 @@ class ThresholdedDict(ZipZipTree):
     def _rank(self, key, f):
         return ZipZipTree._rank(self, key, threshold(f, self.N))
 
-    def _drawn_weight(self, f):
-        return threshold(f, self.N)
-
     def _drawn_floor(self):
         return threshold(0.0, self.N)
 

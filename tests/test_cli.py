@@ -1,11 +1,17 @@
+import hashlib
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from hidict.cli import build_parser, main
+from test_cli_stdout import CASES
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_usage_errors_exit_2(capsys):
@@ -209,3 +215,12 @@ def test_demo_counterexample(capsys):
     assert "n=3 N=4" in out
     assert "contents equal: True" in out
     assert "fingerprints equal: False" in out
+
+
+def test_python_m_hidict_runs_from_a_checkout():
+    # the README's commands, as `python -m hidict` with src/ on the path
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "hidict", "demo", "counterexample"],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, check=True)
+    assert hashlib.sha256(proc.stdout).hexdigest() == CASES["demo counterexample"]

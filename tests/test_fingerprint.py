@@ -5,7 +5,8 @@ walk: a preorder pass for the shape, then a pass in key order through
 ``items()`` that feeds each ``key=payload;`` entry to its own sha256
 update.  It prints each rank from its definition (the zip-zip pair, the
 L-treap's ``(f, oracle)``, the C-treap's ``(log u / f,)``) and each drawn
-weight through ``_drawn_weight``, so it shares no formatting with the walk.
+weight from its definition (``threshold(weight, N)`` in a thresholded
+dict, the stored weight elsewhere), so it shares no formatting with the walk.
 Every structure must give the same bytes as the reference, a paired dict
 the reference of each side, each with its own payload digest.
 """
@@ -21,7 +22,7 @@ from hidict.core import oracle_uniform, oracle_value
 from hidict.dynamics import DynamicThresholdDict
 from hidict.pairing import PairedDict
 from hidict.structures import CTreap, LTreap, ZipZipTree
-from hidict.thresholding import ThresholdedDict
+from hidict.thresholding import ThresholdedDict, threshold
 
 
 def _rank_text(tree, node):
@@ -40,8 +41,9 @@ def _reference(tree) -> bytes:
         if node is None:
             parts.append(".")
             continue
-        parts.append("(%r:%s:%r)" % (node.key, _rank_text(tree, node),
-                                     tree._drawn_weight(node.weight)))
+        drawn = (threshold(node.weight, tree.N)
+                 if isinstance(tree, ThresholdedDict) else node.weight)
+        parts.append("(%r:%s:%r)" % (node.key, _rank_text(tree, node), drawn))
         stack.append(node.right)
         stack.append(node.left)
     h = hashlib.sha256()

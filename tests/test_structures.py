@@ -30,7 +30,7 @@ from hidict.structures import (
 )
 from hidict.dynamics import DynamicThresholdDict
 from hidict.pairing import PairedDict
-from hidict.thresholding import ThresholdedDict
+from hidict.thresholding import ThresholdedDict, threshold
 from hidict.workloads import zipf_frequencies
 
 
@@ -146,7 +146,9 @@ def test_tree_ranks_equal_zz_rank_and_the_reference_oracle(make, monkeypatch):
             sides = [d, d.learned] if isinstance(d, PairedDict) else [d]
             for tree in sides:
                 for node in tree._inorder():
-                    args = (seed, node.key, tree._drawn_weight(node.weight), tree._stream)
+                    drawn = (threshold(node.weight, tree.N)
+                             if isinstance(tree, ThresholdedDict) else node.weight)
+                    args = (seed, node.key, drawn, tree._stream)
                     assert type(node.rank) is int, args
                     assert (divmod(node.rank, 2**32) == zz_rank(*args)
                             == _reference_rank(*args)), args
