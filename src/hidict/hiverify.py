@@ -176,7 +176,7 @@ def growth_strategy(n: int, detours: int = 0,
     """
     for m in sizes:
         if not 1 <= m <= n:
-            raise ValueError("size %r is outside 1..%d, which the run reaches" % (m, n))
+            raise ValueError("size %r is outside 1..%d, the sizes the run passes" % (m, n))
     counts = {m: Counter() for m in sizes}
     steps = [(k, _trial_frequency(k),
               (n + k, _trial_frequency(n + k)) if k <= detours else None,
