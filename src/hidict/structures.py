@@ -118,7 +118,10 @@ def _wins(rank_a, key_a, rank_b, key_b):
     rank wins, and a rank tie goes to the smaller key so the shape stays a
     pure function of the content set.  The insert descent and the zip loop
     write this test inline, saving a call per level; ranks are finite, so
-    ``r > r2 or (r == r2 and key < key2)`` equals it.  Not a method: a
+    both inline forms equal it.  The descent writes
+    ``r >= r2 and (r > r2 or key < key2)``, which settles its common case,
+    a lower new rank, with one comparison; the zip loop writes
+    ``r > r2 or (r == r2 and key < key2)``.  Not a method: a
     paired dict and its learned side are of two classes, so a load on
     ``self`` would miss CPython's attribute cache at every switch."""
     if rank_a != rank_b:
@@ -276,16 +279,22 @@ class _PrecedenceTree(_BST):
         # when the key equals a present one (1.0 == 1)
         rank = self._rank(key, weight)
         parent = None
+        right = None  # the last node the descent turned right at
         cur = self._root
         while cur is not None:
-            ckey = cur.key
-            if key == ckey:
-                raise DuplicateKeyError(key)
             crank = cur.rank
-            if rank > crank or (rank == crank and key < ckey):  # _wins, inline
+            if rank >= crank and (rank > crank or key < cur.key):  # _wins, inline
                 break
             parent = cur
-            cur = cur.left if key < ckey else cur.right
+            if key < cur.key:
+                cur = cur.left
+            else:
+                right = cur
+                cur = cur.right
+        # equal keys go right, and every key below a right turn is larger,
+        # so a present key above cur is the last right turn
+        if right is not None and right.key == key:
+            raise DuplicateKeyError(key)
         # the rest of the search path is the unzip path below cur; a
         # present key lies on it when its rank is below the new one
         node = cur
@@ -321,30 +330,37 @@ class _PrecedenceTree(_BST):
         new.right = rt
         if parent is None:
             self._root = new
-        elif key < parent.key:
-            parent.left = new
-        else:
+        elif parent is right:
             parent.right = new
+        else:
+            parent.left = new
         self._n += 1
 
     def delete(self, key):
         # insert rejects such a key when it hashes it; delete hashes nothing
         if type(key) not in KEY_TYPES:
             raise key_type_error(key)
+        # one comparison per level, as in insert: the key, if present, is
+        # the last right turn, and the descent goes on down the left spine
+        # of its right subtree
         parent = None
+        hit = hit_parent = None
         cur = self._root
-        while cur is not None and cur.key != key:
-            parent = cur
-            cur = cur.left if key < cur.key else cur.right
-        if cur is None:
+        while cur is not None:
+            if key < cur.key:
+                parent, cur = cur, cur.left
+            else:
+                hit, hit_parent = cur, parent
+                parent, cur = cur, cur.right
+        if hit is None or hit.key != key:
             raise MissingKeyError(key)
-        merged = self._zip(cur.left, cur.right)
-        if parent is None:
+        merged = self._zip(hit.left, hit.right)
+        if hit_parent is None:
             self._root = merged
-        elif parent.left is cur:
-            parent.left = merged
+        elif hit_parent.left is hit:
+            hit_parent.left = merged
         else:
-            parent.right = merged
+            hit_parent.right = merged
         self._n -= 1
 
     def load_sorted(self, entries):
@@ -605,29 +621,39 @@ class AVLTree(_BST):
 
     def insert(self, key, weight: float = 1.0, payload: Optional[bytes] = None):
         # weight accepted for interface uniformity and ignored
+        # one comparison per level: a present key is the last right turn
         path = []
+        right = None
         cur = self._root
         while cur is not None:
-            if key == cur.key:
-                raise DuplicateKeyError(key)
             path.append(cur)
-            cur = cur.left if key < cur.key else cur.right
+            if key < cur.key:
+                cur = cur.left
+            else:
+                right = cur
+                cur = cur.right
+        if right is not None and right.key == key:
+            raise DuplicateKeyError(key)
         new = _Node(key, 1, None, payload)
         if not path:
             self._root = new
-        elif key < path[-1].key:
-            path[-1].left = new
-        else:
+        elif path[-1] is right:
             path[-1].right = new
+        else:
+            path[-1].left = new
         self._n += 1
         self._retrace(path)
 
     def delete(self, key):
+        # the descent stops at the key, where the successor walk starts
         path = []
         cur = self._root
-        while cur is not None and key != cur.key:
+        while cur is not None:
+            ckey = cur.key
+            if key == ckey:
+                break
             path.append(cur)
-            cur = cur.left if key < cur.key else cur.right
+            cur = cur.left if key < ckey else cur.right
         if cur is None:
             raise MissingKeyError(key)
         if cur.left is not None and cur.right is not None:

@@ -634,7 +634,8 @@ def _mean_write_calls(cls, n, steps=256):
 
 
 @pytest.mark.parametrize("cls, op", [(AVLTree, "insert"), (AVLTree, "delete"),
-                                     (ZipZipTree, "insert")])
+                                     (ZipZipTree, "insert"), (ZipZipTree, "delete"),
+                                     (LTreap, "insert")])
 def test_write_calls_do_not_grow_with_size(cls, op):
     # a write walks the tree in loops, not in a call per level
     index = ("insert", "delete").index(op)
@@ -799,6 +800,61 @@ def test_duplicate_insert_leaves_no_trace(make, where):
         d.insert(key, new_f)
     assert state() == before
     d.check_invariants()
+
+
+PATH_STRUCTURES = {
+    "LTreap": lambda: LTreap(5),
+    "CTreap": lambda: CTreap(5),
+    "ZipZipTree": lambda: ZipZipTree(5),
+    "ThresholdedDict": lambda: ThresholdedDict(5, 1024),
+    "DynamicThresholdDict": lambda: DynamicThresholdDict(5, scheme="whi", scheme_seed=3),
+    "PairedDict": lambda: PairedDict(5),
+    "PairedDict-capacity": lambda: PairedDict(5, capacity=1024),
+    "AVLTree": lambda: AVLTree(5),
+}
+
+
+@pytest.mark.parametrize("name, key_of", [(name, int) for name in sorted(PATH_STRUCTURES)]
+                         + [("LTreap", lambda i: "%04d" % i)],
+                         ids=sorted(PATH_STRUCTURES) + ["LTreap-str"])
+def test_duplicates_and_missing_keys_on_a_right_leaning_path(name, key_of):
+    # the paper bench's shape: keys in increasing order, f falling with the
+    # key, so the L-treap is a right-leaning path.  A write descent finds a
+    # present key after its loop, at the last right turn; each rejected
+    # write must leave no trace.  Every f, halved or doubled, stays in
+    # [0, 1] and above the thresholded dicts' floor weight.
+    d = PATH_STRUCTURES[name]()
+    present = [(key_of(i), 0.5 - i / 2000) for i in range(2, 601, 2)]
+    # below, between (every tenth gap, down to the deepest) and above
+    absent = [key_of(i) for i in [0, 1] + list(range(3, 601, 20)) + [599, 601, 1000]]
+
+    def state():
+        rng = d.rng.getstate() if hasattr(d, "rng") else None
+        return d.fingerprint(), len(d), d.keys(), rng
+
+    def rejected(error, write, *args):
+        with pytest.raises(error):
+            write(*args)
+        assert state() == before
+        d.check_invariants()
+
+    before = state()
+    for key in absent[:3]:  # on the empty tree
+        rejected(MissingKeyError, d.delete, key)
+    for key, f in present:
+        d.insert(key, f)
+    if name == "LTreap":  # the largest key's search path holds every key
+        assert len(_search_path(d, present[-1][0])) == len(present)
+    ranked = d.learned if isinstance(d, PairedDict) else d
+    before = state()
+    for key, f in present:
+        if not isinstance(d, AVLTree):
+            rank = _search_path(ranked, key)[-1].rank
+            assert ranked._rank(key, 2 * f) > rank == ranked._rank(key, f) > ranked._rank(key, f / 2)
+        for g in (2 * f, f, f / 2):  # above, at and below the present rank
+            rejected(DuplicateKeyError, d.insert, key, g)
+    for key in absent:
+        rejected(MissingKeyError, d.delete, key)
 
 
 def test_node_count_tracks_updates():
