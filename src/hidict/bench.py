@@ -2,7 +2,8 @@
 
 Search cost is measured exactly but cheaply: queries are sampled once per
 workload spec and trial, histogrammed and shared by every structure, and
-each distinct queried key is searched a single time (searches are
+each distinct queried key is charged its search's comparisons, read for
+every key from one walk of the structure (``search_costs``; searches are
 deterministic and read-only, so this equals replaying the full query
 sequence).  All randomness is derived from the master seed, so identical
 inputs give byte-identical outputs.
@@ -91,13 +92,15 @@ def _run_one(test: str, structure_name: str, spec: WorkloadSpec, trial: int,
                               spec.delta, trial)
     s = make_structure(structure_name, struct_seed, spec.n, gamma)
     _fill(structure_name, s, assigned)
+    costs = s.search_costs()
     total = 0.0
     max_c = 0
-    for key in np.nonzero(counts)[0]:
-        res = s.search(int(key))
-        total += int(counts[key]) * res.comparisons
-        if res.comparisons > max_c:
-            max_c = res.comparisons
+    keys = np.nonzero(counts)[0]
+    for key, count in zip(keys.tolist(), counts[keys].tolist()):
+        comparisons = costs[key]
+        total += count * comparisons
+        if comparisons > max_c:
+            max_c = comparisons
     return BenchRow(
         test=test,
         structure=structure_name,

@@ -14,6 +14,7 @@ from .dynamics import CutoffSimulator, counterexample_structures
 from .hiverify import (
     HiReport,
     amortized_counterexample_check,
+    fan_out,
     growth_strategy,
     shi_check,
     whi_check,
@@ -176,13 +177,26 @@ def _cmd_bench(args):
     return 0
 
 
+_SHI_STRUCTURES = ("zipzip", "threshold-zipzip", "paired-zipzip")
+
+
 def _cmd_verify_shi(args):
-    ok = True
-    for name in ("zipzip", "threshold-zipzip", "paired-zipzip"):
+    def check(task):
+        name, universe, trials = task
         # the capacity holds the exhaustive check's 6 keys at any --universe
         factory = lambda: bench.make_structure(name, args.seed, 2 * max(args.universe, 6))
-        exhaustive = shi_check(factory, 6, 0, args.seed)
-        randomized = shi_check(factory, args.universe, args.trials, args.seed)
+        return shi_check(factory, universe, trials, args.seed)
+
+    # the six checks, the costliest first: the randomized ones, the paired
+    # dict's the slowest, then the exhaustive ones
+    tasks = [(name, universe, trials)
+             for universe, trials in ((args.universe, args.trials), (6, 0))
+             for name in reversed(_SHI_STRUCTURES)]
+    reports = dict(zip(tasks, fan_out(check, tasks)))
+    ok = True
+    for name in _SHI_STRUCTURES:
+        exhaustive = reports[name, 6, 0]
+        randomized = reports[name, args.universe, args.trials]
         mism = exhaustive.mismatches + randomized.mismatches
         trials = exhaustive.trials + randomized.trials
         ok = ok and mism == 0

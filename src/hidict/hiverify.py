@@ -10,8 +10,12 @@ using total-variation distance.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import multiprocessing
+import os
 import random
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -31,6 +35,58 @@ class HiReport:
         if self.mode == "strong":
             return self.mismatches == 0
         return self.tv_distance is not None and self.tv_distance <= 0.05
+
+
+# the function a fan_out worker runs, set by the pool's initializer
+_worker_fn = None
+
+
+def _set_worker_fn(fn):
+    global _worker_fn
+    _worker_fn = fn
+
+
+def _call_worker_fn(task):
+    return _worker_fn(task)
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def fan_out(fn: Callable, tasks: Sequence) -> list:
+    """``[fn(t) for t in tasks]``, in task order.
+
+    The tasks run on a pool of ``min(len(tasks), usable cores)`` forked
+    workers, which get ``fn`` through the pool's initializer, so a closure
+    works and only the tasks and the results are pickled.  With fewer than
+    two usable cores, without ``fork``, inside a worker, or beside another
+    thread (a lock it holds at the fork would stay held in the worker),
+    the same tasks run here through a plain map.  A worker keeps what
+    ``fn`` changes between its tasks and the caller sees none of it:
+    ``fn`` returns all it computes.  Every worker has exited when this
+    returns.
+    """
+    tasks = list(tasks)
+    workers = min(len(tasks), _usable_cores())
+    if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon
+            or threading.active_count() > 1):
+        return list(map(fn, tasks))
+    pool = multiprocessing.get_context("fork").Pool(workers, _set_worker_fn, (fn,))
+    try:
+        results = pool.map(_call_worker_fn, tasks, chunksize=1)
+    except BaseException:
+        pool.terminate()
+        raise
+    else:
+        pool.close()
+    finally:
+        pool.join()
+    return results
 
 
 def _trial_frequency(key) -> float:
@@ -54,12 +110,14 @@ def _randomized_realization(rng: random.Random, keys, universe):
     order = list(keys)
     rng.shuffle(order)
     present = set()
+    ordered = []  # present, sorted: the victims are drawn from it
     for key in order:
         ops.append(("i", key))
         present.add(key)
+        bisect.insort(ordered, key)
         # occasional delete/reinsert detour of an already-present key
-        if present and rng.random() < 0.3:
-            victim = rng.choice(sorted(present))
+        if rng.random() < 0.3:
+            victim = rng.choice(ordered)
             ops.append(("d", victim))
             ops.append(("i", victim))
         # occasional transient key outside the target set
@@ -131,6 +189,10 @@ def worst_total_variation(distributions: Sequence[Counter], samples: int) -> flo
                for a, b in itertools.combinations(distributions, 2))
 
 
+# sample ranges per strategy that whi_check hands to fan_out
+_WHI_CHUNKS = 8
+
+
 def whi_check(structure_factory: Callable[[int], object], target_n: int,
               samples: int, strategies: Sequence[Callable[[object], None]],
               seed: int = 0) -> HiReport:
@@ -144,22 +206,49 @@ def whi_check(structure_factory: Callable[[int], object], target_n: int,
     strategies' empirical N distributions.  The scheme seed of a sample
     does not depend on ``target_n``, so a run grown further passes through
     the states of the shorter runs (see ``growth_strategy``).
+
+    The samples run in ranges through ``fan_out``, so the factory and the
+    strategies may run in forked workers.  Of what a strategy changes
+    there, only the tallies of its ``counts`` (a dict of Counters, as
+    ``growth_strategy`` keeps) come back, added to the caller's.
     """
     if len(strategies) < 2:
         raise ValueError("whi_check needs at least 2 strategies")
     if samples < 1:
         raise ValueError("whi_check needs samples >= 1, got %r" % (samples,))
-    distributions = []
-    for s_idx, strategy in enumerate(strategies):
+    tallies = [getattr(strategy, "counts", {}) for strategy in strategies]
+    # by identity: a strategy listed twice tallies both of its runs
+    totals = {id(t): {m: Counter(c) for m, c in t.items()} for t in tallies}
+
+    def run_range(task):
+        # the range's own N counts and tallies: a worker's strategy keeps
+        # its tallies between ranges, so they are cleared first
+        s_idx, start, stop = task
+        strategy = strategies[s_idx]
+        for c in tallies[s_idx].values():
+            c.clear()
         counts = Counter()
-        for i in range(samples):
+        for i in range(start, stop):
             obj = structure_factory(seed * 1_000_003 + s_idx * samples + i)
             strategy(obj)
             if obj.n != target_n:
                 raise ValueError("strategy %d ends at n=%d, not target_n=%d"
                                  % (s_idx, obj.n, target_n))
             counts[obj.N] += 1
-        distributions.append(counts)
+        return counts, {m: Counter(c) for m, c in tallies[s_idx].items()}
+
+    chunks = min(samples, _WHI_CHUNKS)
+    tasks = [(s_idx, samples * j // chunks, samples * (j + 1) // chunks)
+             for s_idx in range(len(strategies)) for j in range(chunks)]
+    distributions = [Counter() for _ in strategies]
+    for (s_idx, _, _), (counts, tally) in zip(tasks, fan_out(run_range, tasks)):
+        distributions[s_idx].update(counts)
+        for m, c in tally.items():
+            totals[id(tallies[s_idx])][m].update(c)
+    for t in tallies:
+        for m, c in t.items():
+            c.clear()
+            c.update(totals[id(t)][m])
     return HiReport("weak", samples, 0, worst_total_variation(distributions, samples))
 
 

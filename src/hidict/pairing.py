@@ -13,7 +13,7 @@ import math
 from math import log2
 from typing import Optional
 
-from .structures import SearchResult, ZipZipTree, _PrecedenceTree
+from .structures import SearchResult, ZipZipTree, _BST, _PrecedenceTree
 from .thresholding import ThresholdedDict
 
 # gamma presets from the zip-zip height / expected-depth constants
@@ -96,6 +96,15 @@ class PairedDict(ZipZipTree):
             return res
         fb = _PrecedenceTree.search(self, key)
         return SearchResult(fb.found, res.comparisons + fb.comparisons, fb.payload)
+
+    def search_costs(self) -> dict:
+        """``{key: search(key).comparisons}`` for every held key: its
+        learned depth within the budget, else the budget plus its
+        fallback depth."""
+        budget = self.search_budget()
+        fallback = _BST.search_costs(self)
+        return {key: depth if depth <= budget else budget + fallback[key]
+                for key, depth in self.learned.search_costs().items()}
 
     def node_count(self) -> int:
         # 2n structural nodes; payloads may be shared but nodes are not

@@ -166,6 +166,25 @@ class _BST:
             cur = cur.left if key < cur.key else cur.right
         return SearchResult(False, comps)
 
+    def search_costs(self) -> dict:
+        """``{key: search(key).comparisons}`` for every held key, from one
+        walk: a search stops at its key's depth, counted from 1."""
+        costs = {}
+        level = [] if self._root is None else [self._root]
+        depth = 0
+        while level:
+            depth += 1
+            below = []
+            push = below.append
+            for node in level:
+                costs[node.key] = depth
+                if node.left is not None:
+                    push(node.left)
+                if node.right is not None:
+                    push(node.right)
+            level = below
+        return costs
+
     def search_budgeted(self, key, budget: int):
         """Search spending at most ``budget`` comparisons.
 
@@ -469,13 +488,15 @@ class _PrecedenceTree(_BST):
         in key order.  The stack loop meets a node in preorder on the way
         down, where it prints the node (and a ``.`` for each empty child),
         and in key order on the way up.  A key's repr is taken once, a
-        packed zip-zip rank is printed inline, and a thresholded tree's
-        floor weight, which most of its nodes are drawn at, is printed
-        from one repr."""
+        packed zip-zip rank is printed inline, an L-treap's weight, which
+        its rank pair holds too, is printed twice from one repr, and a
+        thresholded tree's floor weight, which most of its nodes are drawn
+        at, is printed from one repr."""
         floor = self._drawn_floor()
         if floor is not None:
             floor_text = repr(floor)
         show = None if isinstance(self, ZipZipTree) else self._show_rank
+        ltreap = floor is None and isinstance(self, LTreap)
         parts = ["%s;seed=%d;n=%d;" % (self.kind, self.seed, self._n)]
         append = parts.append
         stack = []
@@ -492,6 +513,8 @@ class _PrecedenceTree(_BST):
                 rank = cur.rank
                 if show is None:  # an f-string formats faster than %
                     append(f"({key}:({rank >> 32}, {rank & 0xFFFFFFFF}):{text})")
+                elif ltreap:
+                    append(f"({key}:({text}, {rank & MASK64}):{text})")
                 else:
                     append("(%s:%s:%s)" % (key, show(rank, cur.weight), text))
                 push((cur, key))
@@ -564,8 +587,9 @@ class LTreap(_PrecedenceTree):
 
     @staticmethod
     def _show_rank(rank, f):
-        # repr((f, oracle)); f is the node's weight, which keeps the sign
-        # of a -0.0 that the rank ties with 0.0
+        # repr((f, oracle)), as the fingerprint's walk prints it inline; f
+        # is the node's weight, which keeps the sign of a -0.0 that the
+        # rank ties with 0.0
         return "(%r, %d)" % (f, rank & MASK64)
 
 

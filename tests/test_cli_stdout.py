@@ -18,6 +18,11 @@ CASES = {
         "b07e7312ba5cd65df2f3235a50103ffbc8de185e19dee7257ef912be47ba852d",
     "verify whi --n-list 5,8 --samples 4000":
         "bfe0b1f2f9c6c74b578af8e1357cf2b8a894a47d9f0bf1ace0d7292ff4849865",
+    # the two verify commands at the sizes the README's paper check runs
+    "verify shi --universe 128 --trials 200":
+        "b9d4d8818a26438d61307f3d74ea866a0cfea226abb5cc17a24c75fc78fa2ebd",
+    "verify whi --n-list 5,16,33 --samples 10000":
+        "4d247a01ea371f5c6a82337687c765985ad863be617c65ea18eda4a5f157f2ce",
     "demo counterexample":
         "50046a4a6f5de8eb436a9051c9f1738d447f537ca8006f5fdb56d0011c3fa7a9",
 }
