@@ -87,10 +87,8 @@ def geometric_from_bits(bits: int) -> int:
     Each bit is a fair coin, so the result is Geometric(1/2) (number of
     failures before the first success) up to the cap.
     """
-    inv = ~bits & MASK64
-    if inv == 0:
-        return 64
-    return 64 - inv.bit_length()
+    # all 64 bits set: the complement is 0, of bit_length 0, giving the cap
+    return 64 - (~bits & MASK64).bit_length()
 
 
 def derive_seed(master: int, *parts) -> int:

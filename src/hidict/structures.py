@@ -10,6 +10,8 @@ smaller key), and insertion/deletion use iterative unzip/zip so that deep,
 degenerate trees (which the adversarial benchmarks deliberately produce)
 never hit the recursion limit.  Nodes already in key order are linked in
 O(n) by the Cartesian-tree stack construction (bulk loads and rebuilds).
+Each precedence tree keeps a finger at its largest-key node, so a key
+appended above it that it outranks attaches in O(1), with no descent.
 """
 
 from __future__ import annotations
@@ -121,12 +123,22 @@ def _wins(rank_a, key_a, rank_b, key_b):
     both inline forms equal it.  The descent writes
     ``r >= r2 and (r > r2 or key < key2)``, which settles its common case,
     a lower new rank, with one comparison; the zip loop writes
-    ``r > r2 or (r == r2 and key < key2)``.  Not a method: a
-    paired dict and its learned side are of two classes, so a load on
-    ``self`` would miss CPython's attribute cache at every switch."""
+    ``r > r2 or (r == r2 and key < key2)``; the append below the
+    largest-key finger, whose key is the smaller, writes
+    ``rank <= top.rank`` for the finger winning.  Not a method: a paired
+    dict and its learned side are of two classes, so a load on ``self``
+    would miss CPython's attribute cache at every switch."""
     if rank_a != rank_b:
         return rank_a > rank_b
     return key_a < key_b
+
+
+def _last(node):
+    """The end of ``node``'s right spine, which holds the largest key below
+    it; None for None."""
+    while node is not None and node.right is not None:
+        node = node.right
+    return node
 
 
 class _BST:
@@ -284,9 +296,21 @@ class _BST:
 
 
 class _PrecedenceTree(_BST):
-    """Base for trees whose shape is the unique heap-on-ranks BST."""
+    """Base for trees whose shape is the unique heap-on-ranks BST.
+
+    ``_max`` is the node of the largest key, or None in an empty tree: a
+    finger at the end of the key order (Guibas, McCreight, Plass and
+    Roberts, STOC 1977).  A key above it whose rank it outranks becomes its
+    right child with no descent.  The node depends on the contents alone,
+    and every tree sets it in ``__init__``, so a fresh tree and an emptied
+    one hold the same attributes.
+    """
 
     kind = "precedence"
+
+    def __init__(self, seed: int):
+        _BST.__init__(self, seed)
+        self._max = None
 
     # subclasses provide the rank for a (key, weight-or-frequency), and
     # ``_show_rank(rank, weight)``, the rank's text in the fingerprint
@@ -297,6 +321,15 @@ class _PrecedenceTree(_BST):
         # the rank comes first: it rejects an unsupported key type even
         # when the key equals a present one (1.0 == 1)
         rank = self._rank(key, weight)
+        top = self._max
+        above = top is None or key > top.key
+        if above and top is not None and rank <= top.rank:
+            # top wins (_wins; a tie goes to its smaller key), and so does
+            # every node above it on the right spine; a key above the
+            # largest cannot be present, so new is top's right child
+            top.right = self._max = _Node(key, rank, weight, payload)
+            self._n += 1
+            return
         parent = None
         right = None  # the last node the descent turned right at
         cur = self._root
@@ -353,6 +386,8 @@ class _PrecedenceTree(_BST):
             parent.right = new
         else:
             parent.left = new
+        if above:
+            self._max = new
         self._n += 1
 
     def delete(self, key):
@@ -380,6 +415,9 @@ class _PrecedenceTree(_BST):
             hit_parent.left = merged
         else:
             hit_parent.right = merged
+        if hit is self._max:
+            # hit was on the right spine, where its left subtree now hangs
+            self._max = _last(self._root if hit_parent is None else hit_parent)
         self._n -= 1
 
     def load_sorted(self, entries):
@@ -425,6 +463,7 @@ class _PrecedenceTree(_BST):
                 stack[-1].right = node
             stack.append(node)
         self._root = stack[0] if stack else None
+        self._max = stack[-1] if stack else None
         self._n = len(nodes)
 
     def _zip(self, a, b):
@@ -527,6 +566,10 @@ class _PrecedenceTree(_BST):
                 entries.append(b"%s=%s;" % (key.encode(), cur.payload))
             cur = cur.right
 
+    def check_invariants(self):
+        _BST.check_invariants(self)
+        assert self._max is _last(self._root)
+
     def _check_node(self, node):
         # heap-on-ranks order
         for child in (node.left, node.right):
@@ -555,7 +598,7 @@ class ZipZipTree(_PrecedenceTree):
         return "(%d, %d)" % (rank >> 32, rank & 0xFFFFFFFF)
 
     def __init__(self, seed: int):
-        _BST.__init__(self, seed)
+        _PrecedenceTree.__init__(self, seed)
         self._hasher = keyed_hasher(seed)
 
     def _rank(self, key, weight):
@@ -565,9 +608,12 @@ class ZipZipTree(_PrecedenceTree):
 class LTreap(_PrecedenceTree):
     """Learned treap with deterministic priority = frequency estimate.
 
-    Ties are broken by oracle bits.  With monotone frequencies and sorted
-    insertion the tree degenerates toward a path; that order sensitivity
-    is inherent to the priority rule and deliberately not papered over.
+    Ties are broken by oracle bits.  The shape is a function of the
+    (key, f) set under any insertion order, so an f monotone in the key
+    makes a path; that is inherent to the priority rule and deliberately
+    not papered over.  Appending keys in increasing order with f falling
+    costs O(1) each (the largest-key finger), but a read or any other
+    write of key k still walks k levels.
     """
 
     kind = "l-treap"

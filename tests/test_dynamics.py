@@ -21,7 +21,7 @@ from hidict.dynamics import (
     whi_before_insert,
 )
 from hidict.pairing import PairedDict
-from hidict.structures import ZipZipTree
+from hidict.structures import ZipZipTree, _Node
 from hidict.thresholding import ThresholdedDict, threshold
 from hidict.workloads import zipf_frequencies
 
@@ -514,13 +514,16 @@ def test_dict_matches_simulator_and_fresh_build(scheme, monkeypatch):
 def _resident_attributes(obj, path="d"):
     """Every attribute reachable from ``obj`` through hidict objects, other
     than the tree's nodes and a ``random.Random``'s state; a keyed hasher
-    is given by its state, the digest of a copy."""
+    is given by its state, the digest of a copy, and a node other than the
+    root (the largest-key finger) by the key it holds."""
     found = {}
     for name, value in vars(obj).items():
         where = "%s.%s" % (path, name)
         if name == "_root" or isinstance(value, random.Random):
             continue
-        if type(value).__module__.startswith("hidict."):
+        if isinstance(value, _Node):
+            found[where] = ("node", value.key)
+        elif type(value).__module__.startswith("hidict."):
             found.update(_resident_attributes(value, where))
         elif isinstance(value, hashlib.blake2b):
             found[where] = value.copy().digest()
@@ -543,7 +546,8 @@ def test_detours_leave_no_trace_beside_the_tree(scheme):
             detoured.delete(extra)
     detoured.rebuild(direct.N)
     assert _resident_attributes(detoured) == _resident_attributes(direct)
-    assert set(vars(detoured)) == {"_root", "_n", "seed", "N", "scheme", "rng", "_hasher"}
+    assert set(vars(detoured)) == {"_root", "_max", "_n", "seed", "N", "scheme", "rng",
+                                   "_hasher"}
     assert detoured.fingerprint() == direct.fingerprint()
 
 

@@ -830,7 +830,10 @@ def test_duplicates_and_missing_keys_on_a_right_leaning_path(name, key_of):
 
     def state():
         rng = d.rng.getstate() if hasattr(d, "rng") else None
-        return d.fingerprint(), len(d), d.keys(), rng
+        # the key at each side's largest-key finger (an AVL tree has none)
+        fingers = [t._max.key if t._max is not None else None
+                   for t in (d, getattr(d, "learned", None)) if hasattr(t, "_max")]
+        return d.fingerprint(), len(d), d.keys(), rng, fingers
 
     def rejected(error, write, *args):
         with pytest.raises(error):
@@ -855,6 +858,27 @@ def test_duplicates_and_missing_keys_on_a_right_leaning_path(name, key_of):
             rejected(DuplicateKeyError, d.insert, key, g)
     for key in absent:
         rejected(MissingKeyError, d.delete, key)
+
+
+def test_ascending_ltreap_path_equals_its_sorted_build():
+    # paper-check's shape at 10x its n: keys in key order, f falling with
+    # the key, so the L-treap is a 20,000-node right path.  Every insert
+    # attaches below the largest-key finger; a descent per insert would
+    # walk about 2e8 levels
+    n = 20_000
+    entries = [(k, 1.0 / k, None) for k in range(1, n + 1)]
+    t = LTreap(11)
+    for key, f, payload in entries:
+        t.insert(key, f, payload)
+    loaded = LTreap(11)
+    loaded.load_sorted(entries)
+    assert t._max.key == loaded._max.key == n
+    assert t.fingerprint() == loaded.fingerprint()
+    depth, cur = 0, t._root
+    while cur is not None:
+        assert cur.left is None
+        depth, cur = depth + 1, cur.right
+    assert depth == n
 
 
 def test_node_count_tracks_updates():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hidict.core import CapacityError, DuplicateKeyError, MissingKeyError
 from hidict.dynamics import DynamicThresholdDict
 from hidict.pairing import PairedDict
+from hidict.structures import _Node
 from hidict.thresholding import ThresholdedDict, threshold, threshold_array
 from hidict.workloads import zipf_frequencies
 
@@ -212,10 +213,11 @@ def _histories(rng, target, spare, count):
 
 def _side_containers(obj, path="d"):
     """Attributes reachable from ``obj`` through hidict objects, other than
-    a tree's root, that hold a container."""
+    a tree's nodes (its root and its largest-key finger), that hold a
+    container."""
     found = []
     for name, value in vars(obj).items():
-        if name == "_root":
+        if isinstance(value, _Node):
             continue
         if isinstance(value, (dict, list, set, frozenset, tuple)):
             found.append("%s.%s" % (path, name))
