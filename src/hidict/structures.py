@@ -10,8 +10,12 @@ smaller key), and insertion/deletion use iterative unzip/zip so that deep,
 degenerate trees (which the adversarial benchmarks deliberately produce)
 never hit the recursion limit.  Nodes already in key order are linked in
 O(n) by the Cartesian-tree stack construction (bulk loads and rebuilds).
-Each precedence tree keeps a finger at its largest-key node, so a key
-appended above it that it outranks attaches in O(1), with no descent.
+Each precedence tree keeps its right spine, the path from the root to the
+largest key, as a list of nodes and a list of their keys.  A root descent
+turns right at exactly the spine nodes with smaller keys, so every read and
+write bisects the spine's keys in C and starts at the first spine node it
+would not pass, counting the nodes it skipped.  A key appended above the
+largest that the largest outranks attaches in O(1), with no descent.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,6 +44,11 @@ from .core import (
 
 @dataclass
 class SearchResult:
+    """A search's reply.  ``comparisons`` is the paper's metric, the
+    comparisons of the descent from the root: a descent that starts partway
+    down the right spine counts the spine nodes it passes, as
+    ``search_costs`` counts depths."""
+
     found: bool
     comparisons: int
     payload: Optional[bytes] = None
@@ -123,22 +133,17 @@ def _wins(rank_a, key_a, rank_b, key_b):
     both inline forms equal it.  The descent writes
     ``r >= r2 and (r > r2 or key < key2)``, which settles its common case,
     a lower new rank, with one comparison; the zip loop writes
-    ``r > r2 or (r == r2 and key < key2)``; the append below the
-    largest-key finger, whose key is the smaller, writes
-    ``rank <= top.rank`` for the finger winning.  Not a method: a paired
-    dict and its learned side are of two classes, so a load on ``self``
-    would miss CPython's attribute cache at every switch."""
+    ``r > r2 or (r == r2 and key < key2)``; the insert's spine tests
+    write ``rank <= node.rank`` for a spine node of smaller key winning,
+    ``node.rank < rank`` for the new node winning over one, and
+    ``rank >= node.rank`` for the new node winning over a spine node of
+    larger key.  Not a
+    method: a paired dict and its learned side are of two classes, so a
+    load on ``self`` would miss CPython's attribute cache at every
+    switch."""
     if rank_a != rank_b:
         return rank_a > rank_b
     return key_a < key_b
-
-
-def _last(node):
-    """The end of ``node``'s right spine, which holds the largest key below
-    it; None for None."""
-    while node is not None and node.right is not None:
-        node = node.right
-    return node
 
 
 class _BST:
@@ -146,7 +151,11 @@ class _BST:
 
     Subclasses own the shape (what a node's ``rank`` holds) and the update
     path; the read path uses only ``key``, ``payload``, ``left`` and
-    ``right``.
+    ``right``, and the lists ``_spine`` and ``_spine_keys``.  A descent
+    starts at ``_spine[i]``, where ``i = bisect_left(_spine_keys, key)``
+    is the number of spine nodes the root descent turns right at, and
+    counts them; past the spine's end it ends, and with an empty spine, as
+    an AVL tree keeps, it starts at the root.
     """
 
     def __init__(self, seed: int):
@@ -161,7 +170,9 @@ class _BST:
         return self._n
 
     def __contains__(self, key):
-        cur = self._root
+        spine = self._spine
+        i = bisect_left(self._spine_keys, key)
+        cur = spine[i] if i < len(spine) else None if i else self._root
         while cur is not None:
             if key == cur.key:
                 return True
@@ -169,8 +180,9 @@ class _BST:
         return False
 
     def search(self, key) -> SearchResult:
-        comps = 0
-        cur = self._root
+        spine = self._spine
+        comps = bisect_left(self._spine_keys, key)
+        cur = spine[comps] if comps < len(spine) else None if comps else self._root
         while cur is not None:
             comps += 1
             if key == cur.key:
@@ -203,8 +215,11 @@ class _BST:
         Returns (result, exhausted).  exhausted=True means the budget ran
         out before the descent reached a conclusion.
         """
-        comps = 0
-        cur = self._root
+        spine = self._spine
+        comps = bisect_left(self._spine_keys, key)
+        cur = spine[comps] if comps < len(spine) else None if comps else self._root
+        if comps > budget:  # the budget ran out on the spine
+            return SearchResult(False, budget), True
         while cur is not None:
             if comps >= budget:
                 return SearchResult(False, comps), True
@@ -215,8 +230,10 @@ class _BST:
         return SearchResult(False, comps), False
 
     def predecessor(self, key):
-        best = None
-        cur = self._root
+        keys = self._spine_keys
+        i = bisect_left(keys, key)
+        best = keys[i - 1] if i else None
+        cur = self._spine[i] if i < len(keys) else None if i else self._root
         while cur is not None:
             if cur.key < key:
                 best = cur.key
@@ -233,12 +250,17 @@ class _BST:
         goes right, a node right of ``hi`` goes left, and a node in range
         goes left, is emitted, then goes right.  The stack holds only the
         in-range nodes still to be emitted, so a visit allocates nothing.
+        The spine nodes left of ``lo`` are counted and skipped.
         """
         if lo > hi:
             raise ValueError("range bounds out of order: %r > %r" % (lo, hi))
+        spine = self._spine
+        i = bisect_left(self._spine_keys, lo)
+        cur = spine[i] if i < len(spine) else None if i else self._root
+        if tally is not None:
+            tally.count += i
         out = []
         stack = []
-        cur = self._root
         while True:
             while cur is not None:
                 if tally is not None:
@@ -298,19 +320,27 @@ class _BST:
 class _PrecedenceTree(_BST):
     """Base for trees whose shape is the unique heap-on-ranks BST.
 
-    ``_max`` is the node of the largest key, or None in an empty tree: a
-    finger at the end of the key order (Guibas, McCreight, Plass and
-    Roberts, STOC 1977).  A key above it whose rank it outranks becomes its
-    right child with no descent.  The node depends on the contents alone,
-    and every tree sets it in ``__init__``, so a fresh tree and an emptied
-    one hold the same attributes.
+    ``_spine`` lists the nodes from the root along right children down to
+    the largest key, and ``_spine_keys`` their keys, in increasing order;
+    both are empty in an empty tree.  A root descent turns right at
+    exactly the spine nodes with keys below its key, so reads and writes
+    bisect ``_spine_keys`` and start at the first spine node they would
+    not pass: a finger search from the end of the key order (Guibas,
+    McCreight, Plass and Roberts, STOC 1977; Seidel and Aragon, 1996).  A
+    key above the largest whose rank the largest node outranks becomes its
+    right child with no descent.  The spine is a function of the shape,
+    and so of the contents alone; every tree sets both lists in
+    ``__init__``, so a fresh tree and an emptied one hold the same
+    attributes.  A list's spare capacity, which its appends leave, is
+    physical layout, like the nodes' addresses (ROADMAP item 11).
     """
 
     kind = "precedence"
 
     def __init__(self, seed: int):
         _BST.__init__(self, seed)
-        self._max = None
+        self._spine = []
+        self._spine_keys = []
 
     # subclasses provide the rank for a (key, weight-or-frequency), and
     # ``_show_rank(rank, weight)``, the rank's text in the fingerprint
@@ -321,32 +351,51 @@ class _PrecedenceTree(_BST):
         # the rank comes first: it rejects an unsupported key type even
         # when the key equals a present one (1.0 == 1)
         rank = self._rank(key, weight)
-        top = self._max
-        above = top is None or key > top.key
-        if above and top is not None and rank <= top.rank:
-            # top wins (_wins; a tie goes to its smaller key), and so does
-            # every node above it on the right spine; a key above the
-            # largest cannot be present, so new is top's right child
-            top.right = self._max = _Node(key, rank, weight, payload)
+        spine = self._spine
+        keys = self._spine_keys
+        if keys and key > keys[-1] and rank <= spine[-1].rank:
+            # the largest node wins (_wins; a tie goes to its smaller key),
+            # and so does every spine node above it; a key above the
+            # largest cannot be present, so new is its right child
+            spine[-1].right = new = _Node(key, rank, weight, payload)
+            spine.append(new)
+            keys.append(key)
             self._n += 1
             return
-        parent = None
-        right = None  # the last node the descent turned right at
-        cur = self._root
-        while cur is not None:
-            crank = cur.rank
-            if rank >= crank and (rank > crank or key < cur.key):  # _wins, inline
-                break
-            parent = cur
-            if key < cur.key:
-                cur = cur.left
-            else:
-                right = cur
-                cur = cur.right
-        # equal keys go right, and every key below a right turn is larger,
-        # so a present key above cur is the last right turn
-        if right is not None and right.key == key:
+        # the root descent turns right at the i spine nodes below key
+        i = join = bisect_left(keys, key)
+        stop = spine[i] if i < len(keys) else None
+        if stop is not None and stop.key == key:
             raise DuplicateKeyError(key)
+        if stop is None or rank >= stop.rank:
+            # new wins over stop (a tie goes to its smaller key), so it
+            # joins the spine at index join, below the spine nodes that
+            # win over it, and takes the place of the spine node there
+            while join and spine[join - 1].rank < rank:
+                join -= 1
+            parent = right = spine[join - 1] if join else None
+            cur = spine[join] if join < i else stop
+        else:
+            # stop wins, and so does every spine node above it: the
+            # descent turns left at stop, and new lands off the spine
+            join = None
+            parent = stop
+            right = None  # the last node the descent turned right at
+            cur = stop.left
+            while cur is not None:
+                crank = cur.rank
+                if rank >= crank and (rank > crank or key < cur.key):  # _wins, inline
+                    break
+                parent = cur
+                if key < cur.key:
+                    cur = cur.left
+                else:
+                    right = cur
+                    cur = cur.right
+            # equal keys go right, and every key below a right turn is
+            # larger, so a present key above cur is the last right turn
+            if right is not None and right.key == key:
+                raise DuplicateKeyError(key)
         # the rest of the search path is the unzip path below cur; a
         # present key lies on it when its rank is below the new one
         node = cur
@@ -386,38 +435,56 @@ class _PrecedenceTree(_BST):
             parent.right = new
         else:
             parent.left = new
-        if above:
-            self._max = new
+        if join is not None:
+            # the spine nodes new passed left the spine for its left
+            # subtree; its right subtree's spine is the old one from stop
+            spine[join:i] = [new]
+            keys[join:i] = [key]
         self._n += 1
 
     def delete(self, key):
         # insert rejects such a key when it hashes it; delete hashes nothing
         if type(key) not in KEY_TYPES:
             raise key_type_error(key)
-        # one comparison per level, as in insert: the key, if present, is
-        # the last right turn, and the descent goes on down the left spine
-        # of its right subtree
-        parent = None
-        hit = hit_parent = None
-        cur = self._root
-        while cur is not None:
-            if key < cur.key:
-                parent, cur = cur, cur.left
-            else:
-                hit, hit_parent = cur, parent
-                parent, cur = cur, cur.right
-        if hit is None or hit.key != key:
+        spine = self._spine
+        i = bisect_left(self._spine_keys, key)
+        if i == len(spine):  # above the largest key, or an empty tree
             raise MissingKeyError(key)
-        merged = self._zip(hit.left, hit.right)
-        if hit_parent is None:
-            self._root = merged
-        elif hit_parent.left is hit:
-            hit_parent.left = merged
+        hit = spine[i]
+        on_spine = hit.key == key
+        if on_spine:
+            parent = spine[i - 1] if i else None
         else:
-            hit_parent.right = merged
-        if hit is self._max:
-            # hit was on the right spine, where its left subtree now hangs
-            self._max = _last(self._root if hit_parent is None else hit_parent)
+            # below the spine, one comparison per level, as in insert: the
+            # key, if present, is the last right turn, and the descent goes
+            # on down the left spine of its right subtree
+            above, cur = hit, hit.left
+            hit = parent = None
+            while cur is not None:
+                if key < cur.key:
+                    above, cur = cur, cur.left
+                else:
+                    hit, parent = cur, above
+                    above, cur = cur, cur.right
+            if hit is None or hit.key != key:
+                raise MissingKeyError(key)
+        stop = hit.right
+        merged = self._zip(hit.left, stop)
+        if parent is None:
+            self._root = merged
+        elif parent.left is hit:
+            parent.left = merged
+        else:
+            parent.right = merged
+        if on_spine:
+            # the merged subtree's right spine takes hit's place: the nodes
+            # of hit's left subtree that won over stop, then stop's own
+            run = []
+            while merged is not stop:
+                run.append(merged)
+                merged = merged.right
+            spine[i:i + 1] = run
+            self._spine_keys[i:i + 1] = [node.key for node in run]
         self._n -= 1
 
     def load_sorted(self, entries):
@@ -448,7 +515,8 @@ class _PrecedenceTree(_BST):
         The stack construction of a Cartesian tree (Gabow, Bentley and
         Tarjan, STOC 1984): the stack holds the right spine; a new node
         takes the nodes it outranks as its left subtree and becomes the
-        right child of the stack top.  Each node is pushed and popped once.
+        right child of the stack top.  Each node is pushed and popped once,
+        and the final stack is the spine.
         """
         stack = []
         for node in nodes:
@@ -463,7 +531,8 @@ class _PrecedenceTree(_BST):
                 stack[-1].right = node
             stack.append(node)
         self._root = stack[0] if stack else None
-        self._max = stack[-1] if stack else None
+        self._spine = stack
+        self._spine_keys = [node.key for node in stack]
         self._n = len(nodes)
 
     def _zip(self, a, b):
@@ -568,7 +637,13 @@ class _PrecedenceTree(_BST):
 
     def check_invariants(self):
         _BST.check_invariants(self)
-        assert self._max is _last(self._root)
+        walk = []
+        node = self._root
+        while node is not None:
+            walk.append(node)
+            node = node.right
+        assert self._spine == walk
+        assert self._spine_keys == [node.key for node in walk]
 
     def _check_node(self, node):
         # heap-on-ranks order
@@ -611,9 +686,10 @@ class LTreap(_PrecedenceTree):
     Ties are broken by oracle bits.  The shape is a function of the
     (key, f) set under any insertion order, so an f monotone in the key
     makes a path; that is inherent to the priority rule and deliberately
-    not papered over.  Appending keys in increasing order with f falling
-    costs O(1) each (the largest-key finger), but a read or any other
-    write of key k still walks k levels.
+    not papered over: a search of key k reports k comparisons.  With f
+    falling the path is a right path, all spine, so reads and writes
+    bisect to key k in O(log n) time and ascending appends cost O(1);
+    with f rising it is a left path, and key k still takes k levels.
     """
 
     kind = "l-treap"
@@ -665,6 +741,8 @@ class AVLTree(_BST):
 
     def __init__(self, seed: int = 0):
         super().__init__(seed)  # seed unused; uniform constructor signature
+        # rotations move the spine, so none is kept: reads start at the root
+        self._spine = self._spine_keys = ()
 
     @staticmethod
     def _h(node):

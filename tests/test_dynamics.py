@@ -514,14 +514,16 @@ def test_dict_matches_simulator_and_fresh_build(scheme, monkeypatch):
 def _resident_attributes(obj, path="d"):
     """Every attribute reachable from ``obj`` through hidict objects, other
     than the tree's nodes and a ``random.Random``'s state; a keyed hasher
-    is given by its state, the digest of a copy, and a node other than the
-    root (the largest-key finger) by the key it holds."""
+    is given by its state, the digest of a copy, and a list of nodes (the
+    right spine) by the keys they hold."""
     found = {}
     for name, value in vars(obj).items():
         where = "%s.%s" % (path, name)
         if name == "_root" or isinstance(value, random.Random):
             continue
-        if isinstance(value, _Node):
+        if isinstance(value, list) and value and isinstance(value[0], _Node):
+            found[where] = ("nodes", [node.key for node in value])
+        elif isinstance(value, _Node):
             found[where] = ("node", value.key)
         elif type(value).__module__.startswith("hidict."):
             found.update(_resident_attributes(value, where))
@@ -546,8 +548,8 @@ def test_detours_leave_no_trace_beside_the_tree(scheme):
             detoured.delete(extra)
     detoured.rebuild(direct.N)
     assert _resident_attributes(detoured) == _resident_attributes(direct)
-    assert set(vars(detoured)) == {"_root", "_max", "_n", "seed", "N", "scheme", "rng",
-                                   "_hasher"}
+    assert set(vars(detoured)) == {"_root", "_spine", "_spine_keys", "_n", "seed", "N",
+                                   "scheme", "rng", "_hasher"}
     assert detoured.fingerprint() == direct.fingerprint()
 
 

@@ -1,9 +1,10 @@
-"""The largest-key finger of every precedence tree.
+"""The right spine of every precedence tree, and its end, the largest key.
 
 Seeded random histories mix ascending appends (which attach below the
-finger), inserts below the largest key, deletes of the largest key, other
-deletes and deletes that empty the tree.  After every operation each side
-of the dict must hold the finger at its largest key, keep its invariants,
+spine's end), inserts below the largest key, deletes of the largest key,
+other deletes and deletes that empty the tree.  After every operation each
+side of the dict must hold its spine, the walk from the root along right
+children, ending at its largest key, keep its invariants,
 print the fingerprint of a shuffled-order build of the same contents, and
 hold the same attribute names as a fresh dict.
 """
@@ -44,12 +45,17 @@ def _sides(d):
 def _check(d, contents, name, fresh, rng):
     for side, fresh_side in zip(_sides(d), _sides(fresh)):
         keys = side.keys()
+        walk, cur = [], side._root
+        while cur is not None:
+            walk.append(cur)
+            cur = cur.right
+        assert side._spine == walk
+        assert side._spine_keys == [node.key for node in walk]
         if keys:
-            assert side._max is not None
-            assert side._max.key == keys[-1]
-            assert side._max.right is None
+            assert side._spine[-1].key == keys[-1]
+            assert side._spine[-1].right is None
         else:
-            assert side._max is None
+            assert side._spine == side._spine_keys == []
         assert set(vars(side)) == set(vars(fresh_side))
     d.check_invariants()
     order = sorted(contents.items())

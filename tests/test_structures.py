@@ -830,10 +830,11 @@ def test_duplicates_and_missing_keys_on_a_right_leaning_path(name, key_of):
 
     def state():
         rng = d.rng.getstate() if hasattr(d, "rng") else None
-        # the key at each side's largest-key finger (an AVL tree has none)
-        fingers = [t._max.key if t._max is not None else None
-                   for t in (d, getattr(d, "learned", None)) if hasattr(t, "_max")]
-        return d.fingerprint(), len(d), d.keys(), rng, fingers
+        # each side's right spine by its keys, read from the nodes and from
+        # the key list (an AVL tree keeps none)
+        spines = [([node.key for node in t._spine], list(t._spine_keys))
+                  for t in (d, getattr(d, "learned", None)) if t is not None]
+        return d.fingerprint(), len(d), d.keys(), rng, spines
 
     def rejected(error, write, *args):
         with pytest.raises(error):
@@ -872,7 +873,9 @@ def test_ascending_ltreap_path_equals_its_sorted_build():
         t.insert(key, f, payload)
     loaded = LTreap(11)
     loaded.load_sorted(entries)
-    assert t._max.key == loaded._max.key == n
+    assert t._spine[-1].key == loaded._spine[-1].key == n
+    assert t._spine_keys == loaded._spine_keys == list(range(1, n + 1))
+    assert [node.key for node in t._spine] == t._spine_keys
     assert t.fingerprint() == loaded.fingerprint()
     depth, cur = 0, t._root
     while cur is not None:

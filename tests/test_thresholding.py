@@ -213,11 +213,20 @@ def _histories(rng, target, spare, count):
 
 def _side_containers(obj, path="d"):
     """Attributes reachable from ``obj`` through hidict objects, other than
-    a tree's nodes (its root and its largest-key finger), that hold a
-    container."""
+    a tree's root and its right spine, that hold a container.  The spine's
+    two lists are skipped only while they equal the walk from ``_root``
+    along right children."""
+    walk, cur = [], getattr(obj, "_root", None)
+    while cur is not None:
+        walk.append(cur)
+        cur = cur.right
     found = []
     for name, value in vars(obj).items():
         if isinstance(value, _Node):
+            continue
+        if name == "_spine" and value == walk:
+            continue
+        if name == "_spine_keys" and value == [node.key for node in walk]:
             continue
         if isinstance(value, (dict, list, set, frozenset, tuple)):
             found.append("%s.%s" % (path, name))
