@@ -37,6 +37,8 @@ from .core import (
     geometric_from_bits,
     key_type_error,
     keyed_hasher,
+    # no tree calls these two, whose draws the keyed ones equal; they stay
+    # bound here, where perfbench's hooks look them up
     oracle_uniform,
     oracle_value,
 )
@@ -76,21 +78,38 @@ def zz_rank(seed: int, key, weight: float, stream: int = 0):
     r1 = floor(log2 weight) + Geometric(1/2); r2 is a uniform 32-bit
     tie-breaker.  Heavier keys get stochastically larger primary ranks,
     which is what yields O(log W/w) retrieval depth.  The two draws use
-    oracle streams ``stream`` and ``stream + 1``.
+    oracle streams ``stream`` and ``stream + 1``.  A tree stores the pair
+    as the double ``_zz_rank_keyed`` returns; this decodes it.
     """
-    # a tree stores the pair (r1, r2) as the int (r1 << 32) | r2, which
-    # orders as the pair does, negative r1 included, because 0 <= r2 < 2**32
-    return divmod(_zz_rank_keyed(keyed_hasher(seed), key, weight, stream), 1 << 32)
+    return divmod(int(_zz_rank_keyed(keyed_hasher(seed), key, weight, stream)), 1 << 32)
 
 
 # the oracle's stream byte, by stream mod 256
 _STREAM_BYTE = tuple(bytes((s,)) for s in range(256))
 
 
-def _zz_rank_keyed(keyed, key, weight: float, stream: int):
-    """``zz_rank``, packed into one int, over ``keyed``, the seed's
+def _oracle_keyed(keyed, key, stream: int) -> int:
+    """``oracle_value(seed, key, stream)`` over ``keyed``, the seed's
+    ``keyed_hasher``, which is copied and not fed."""
+    h = keyed.copy()
+    h.update(_key_bytes(key))
+    h.update(_STREAM_BYTE[stream & 0xFF])
+    return int.from_bytes(h.digest(), "little")
+
+
+def _zz_rank_keyed(keyed, key, weight: float, stream: int) -> float:
+    """``zz_rank``, packed into one exact double, over ``keyed``, the seed's
     ``keyed_hasher``, which is copied and not fed: the key is encoded and
-    fed once, and that state is copied for the second stream."""
+    fed once, and that state is copied for the second stream.
+
+    The rank is the float of the int ``(r1 << 32) | r2``, which orders as
+    the pair does, negative r1 included, because ``0 <= r2 < 2**32``.  The
+    float holds that int exactly: for any positive finite weight,
+    subnormals included, ``floor(log2 weight)`` lies in [-1074, 1023] and
+    the geometric draw in [0, 64], so ``|r1| <= 1087`` and
+    ``|rank| < 1088 * 2**32 < 2**43 < 2**53``.  A float takes 24 bytes
+    where that int takes 32-36, and it keeps every order and tie.
+    """
     if not 0 < weight < math.inf:
         raise ValueError("weight must be positive and finite, got %r" % (weight,))
     h = keyed.copy()
@@ -99,7 +118,7 @@ def _zz_rank_keyed(keyed, key, weight: float, stream: int):
     h.update(_STREAM_BYTE[stream & 0xFF])
     tie.update(_STREAM_BYTE[(stream + 1) & 0xFF])
     r1 = _weight_level(weight) + geometric_from_bits(int.from_bytes(h.digest(), "little"))
-    return (r1 << 32) | (int.from_bytes(tie.digest(), "little") & 0xFFFFFFFF)
+    return float((r1 << 32) | (int.from_bytes(tie.digest(), "little") & 0xFFFFFFFF))
 
 
 def _weight_level(weight: float) -> int:
@@ -107,10 +126,11 @@ def _weight_level(weight: float) -> int:
     return math.floor(math.log2(weight))
 
 
-def zz_rerank(rank: int, old_weight: float, new_weight: float) -> int:
+def zz_rerank(rank, old_weight: float, new_weight: float):
     """The packed rank of a key at ``new_weight``, from its packed rank at
     ``old_weight``: the geometric draw and the tie-breaker do not depend on
-    the weight, so no oracle call is needed."""
+    the weight, so no oracle call is needed.  The level change moves r1
+    within [-1074, 1087], so on a double rank the sum stays exact."""
     return rank + ((_weight_level(new_weight) - _weight_level(old_weight)) << 32)
 
 
@@ -128,9 +148,11 @@ def _order_bits(f: float) -> int:
 def _wins(rank_a, key_a, rank_b, key_b):
     """Whether node a sits above node b in a precedence tree: the higher
     rank wins, and a rank tie goes to the smaller key so the shape stays a
-    pure function of the content set.  The insert descent and the zip loop
-    write this test inline, saving a call per level; ranks are finite, so
-    both inline forms equal it.  The descent writes
+    pure function of the content set.  A zip-zip rank is an exact double,
+    an L-treap's an int and a C-treap's a float; each orders as the rank it
+    packs, and a tie is an equal value.  The insert descent and the zip
+    loop write this test inline, saving a call per level; ranks are
+    finite, so both inline forms equal it.  The descent writes
     ``r >= r2 and (r > r2 or key < key2)``, which settles its common case,
     a lower new rank, with one comparison; the zip loop writes
     ``r > r2 or (r == r2 and key < key2)``; the insert's spine tests
@@ -341,9 +363,13 @@ class _PrecedenceTree(_BST):
         _BST.__init__(self, seed)
         self._spine = []
         self._spine_keys = []
+        # every rank draw copies this, the seed's keyed_hasher; it is never
+        # fed, so its state is a function of the seed alone
+        self._hasher = keyed_hasher(seed)
 
-    # subclasses provide the rank for a (key, weight-or-frequency), and
-    # ``_show_rank(rank, weight)``, the rank's text in the fingerprint
+    # subclasses provide the rank for a (key, weight-or-frequency); the
+    # treaps also provide ``_show_rank(rank, weight)``, the rank's text in
+    # the fingerprint, which prints a zip-zip rank inline
     def _rank(self, key, weight):
         raise NotImplementedError
 
@@ -596,7 +622,8 @@ class _PrecedenceTree(_BST):
         in key order.  The stack loop meets a node in preorder on the way
         down, where it prints the node (and a ``.`` for each empty child),
         and in key order on the way up.  A key's repr is taken once, a
-        packed zip-zip rank is printed inline, an L-treap's weight, which
+        zip-zip rank, an exact double, is turned into its packed int once
+        and printed inline as the pair, an L-treap's weight, which
         its rank pair holds too, is printed twice from one repr, and a
         thresholded tree's floor weight, which most of its nodes are drawn
         at, is printed from one repr."""
@@ -605,6 +632,8 @@ class _PrecedenceTree(_BST):
             floor_text = repr(floor)
         show = None if isinstance(self, ZipZipTree) else self._show_rank
         ltreap = floor is None and isinstance(self, LTreap)
+        # floor gives an integral double's int, in a call a third of int()'s
+        as_int = math.floor
         parts = ["%s;seed=%d;n=%d;" % (self.kind, self.seed, self._n)]
         append = parts.append
         stack = []
@@ -618,13 +647,13 @@ class _PrecedenceTree(_BST):
                 else:
                     w = cur.weight / 2.0  # threshold(weight, N), inline
                     text = floor_text if w <= floor else repr(w)
-                rank = cur.rank
                 if show is None:  # an f-string formats faster than %
+                    rank = as_int(cur.rank)
                     append(f"({key}:({rank >> 32}, {rank & 0xFFFFFFFF}):{text})")
                 elif ltreap:
-                    append(f"({key}:({text}, {rank & MASK64}):{text})")
+                    append(f"({key}:({text}, {cur.rank & MASK64}):{text})")
                 else:
-                    append("(%s:%s:%s)" % (key, show(rank, cur.weight), text))
+                    append("(%s:%s:%s)" % (key, show(cur.rank, cur.weight), text))
                 push((cur, key))
                 cur = cur.left
             append(".")
@@ -658,23 +687,13 @@ class ZipZipTree(_PrecedenceTree):
     ``_stream`` is the first oracle stream of the rank draws; a subclass
     that moves it (the paired dict's fallback side) gets rank draws
     independent of a tree over the same keys and seed.  Ranks come from
-    ``_hasher``, the seed's ``keyed_hasher``, built once per tree; its
-    state is a function of the seed alone.  A node's ``rank`` is the
-    packed int of its ``zz_rank`` pair; the fingerprint prints the pair.
+    ``_hasher``, the seed's ``keyed_hasher``, built once per tree.  A
+    node's ``rank`` is its ``zz_rank`` pair packed into one exact double
+    (``_zz_rank_keyed``); the fingerprint prints the pair.
     """
 
     kind = "zipzip"
     _stream = 0
-
-    @staticmethod
-    def _show_rank(rank, weight=None):
-        # repr((r1, r2)), as the fingerprint's walk prints it inline; two
-        # shifts cost less than divmod's long division
-        return "(%d, %d)" % (rank >> 32, rank & 0xFFFFFFFF)
-
-    def __init__(self, seed: int):
-        _PrecedenceTree.__init__(self, seed)
-        self._hasher = keyed_hasher(seed)
 
     def _rank(self, key, weight):
         return _zz_rank_keyed(self._hasher, key, weight, self._stream)
@@ -705,7 +724,7 @@ class LTreap(_PrecedenceTree):
                              % (f,))
         # the pair (f, oracle) as one int, which orders as the pair does
         # because 0 <= oracle < 2**64
-        return (_order_bits(f) << 64) | oracle_value(self.seed, key, 2)
+        return (_order_bits(f) << 64) | _oracle_keyed(self._hasher, key, 2)
 
     @staticmethod
     def _show_rank(rank, f):
@@ -724,7 +743,7 @@ class CTreap(_PrecedenceTree):
         if not 0 < f < math.inf:
             raise ValueError("C-treap requires a positive finite frequency estimate, got %r"
                              % (f,))
-        u = oracle_uniform(self.seed, key, 3)
+        u = (_oracle_keyed(self._hasher, key, 3) + 0.5) / 2.0**64  # oracle_uniform
         # log of u**(1/f); monotone transform, avoids underflow for tiny f
         return math.log(u) / f
 

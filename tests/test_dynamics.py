@@ -21,7 +21,7 @@ from hidict.dynamics import (
     whi_before_insert,
 )
 from hidict.pairing import PairedDict
-from hidict.structures import ZipZipTree, _Node
+from hidict.structures import CTreap, LTreap, ZipZipTree, _Node
 from hidict.thresholding import ThresholdedDict, threshold
 from hidict.workloads import zipf_frequencies
 
@@ -560,8 +560,10 @@ def test_detours_leave_no_trace_beside_the_tree(scheme):
     lambda seed: DynamicThresholdDict(seed, scheme="amortized", scheme_seed=3),
     lambda seed: PairedDict(seed, capacity=2000),
     lambda seed: PairedDict(seed),
+    lambda seed: LTreap(seed),
+    lambda seed: CTreap(seed),
 ], ids=["zipzip", "threshold", "dynamic-whi", "dynamic-amortized", "paired-cap",
-        "paired"])
+        "paired", "l-treap", "c-treap"])
 def test_keyed_hashers_absorb_no_key(make):
     # after 1,000 churn operations every tree's hasher is still the seed's
     # freshly keyed one: a rank feeds copies, never the hasher itself

@@ -27,7 +27,7 @@ from hidict.thresholding import ThresholdedDict, threshold
 
 def _rank_text(tree, node):
     if isinstance(tree, ZipZipTree):
-        return repr(divmod(node.rank, 2**32))
+        return repr(divmod(int(node.rank), 2**32))
     if isinstance(tree, LTreap):
         return repr((node.weight, oracle_value(tree.seed, node.key, 2)))
     return repr((math.log(oracle_uniform(tree.seed, node.key, 3)) / node.weight,))

@@ -27,6 +27,7 @@ from hidict.structures import (
     _order_bits,
     _wins,
     zz_rank,
+    zz_rerank,
 )
 from hidict.dynamics import DynamicThresholdDict
 from hidict.pairing import PairedDict
@@ -94,24 +95,65 @@ _RANK_SEEDS = (0, -3, 2**64 + 5, 2**70 - 1)
 
 
 def _pack(r1, r2):
-    # how a tree stores the zz_rank pair (r1, r2): one int
+    # the int (r1 << 32) | r2 whose exact double a tree stores as the
+    # zz_rank pair (r1, r2)
     return (r1 << 32) | r2
 
 
-_TIE_BREAKERS = st.one_of(st.sampled_from([0, 1, 2**31, 2**32 - 1]),
-                          st.integers(0, 2**32 - 1))
+def _pair_text(rank):
+    # the pair as the fingerprint prints it from a stored rank
+    r = int(rank)
+    return "(%d, %d)" % (r >> 32, r & 0xFFFFFFFF)
 
 
-@given(st.tuples(st.integers(-1100, 100), _TIE_BREAKERS),
-       st.tuples(st.integers(-1100, 100), _TIE_BREAKERS))
+# r1 = floor(log2 w) + Geometric(1/2) over every positive finite double w:
+# its level lies in [-1074, 1023] (5e-324 to the largest double) and the
+# draw in [0, 64]
+_LEVEL_MIN, _LEVEL_MAX, _DRAW_MAX = -1074, 1023, 64
+_R1_MIN, _R1_MAX = _LEVEL_MIN, _LEVEL_MAX + _DRAW_MAX
+_R2_EDGES = (0, 1, 2**31, 2**32 - 1)
+_R1S = st.one_of(st.sampled_from([_R1_MIN, -1, 0, _R1_MAX]), st.integers(_R1_MIN, _R1_MAX))
+_TIE_BREAKERS = st.one_of(st.sampled_from(_R2_EDGES), st.integers(0, 2**32 - 1))
+
+
+@given(st.tuples(_R1S, _TIE_BREAKERS), st.tuples(_R1S, _TIE_BREAKERS))
 def test_packed_rank_orders_as_the_pair_and_decodes_to_it(a, b):
     pa, pb = _pack(*a), _pack(*b)
-    assert (pa < pb) == (a < b)
-    assert (pa == pb) == (a == b)
-    # zz_rank decodes by divmod; the fingerprint prints the pair
-    for pair, packed in ((a, pa), (b, pb)):
-        assert divmod(packed, 2**32) == pair
-        assert ZipZipTree._show_rank(packed) == repr(pair)
+    da, db = float(pa), float(pb)
+    assert (pa < pb) == (a < b) == (da < db)
+    assert (pa == pb) == (a == b) == (da == db)
+    for pair, packed, stored in ((a, pa, da), (b, pb, db)):
+        assert int(stored) == packed
+        # zz_rank decodes by divmod; the fingerprint prints the pair
+        assert divmod(int(stored), 2**32) == pair
+        assert _pair_text(stored) == repr(pair)
+
+
+def test_stored_rank_is_exact_and_ordered_over_every_r1():
+    # every r1 the rank can take, both ends included, with the edge
+    # tie-breakers: the doubles round-trip and sort as the pairs do
+    pairs = [(r1, r2) for r1 in range(_R1_MIN, _R1_MAX + 1) for r2 in _R2_EDGES]
+    stored = [float(_pack(*pair)) for pair in pairs]
+    assert [divmod(int(rank), 2**32) for rank in stored] == pairs
+    assert all(a < b for a, b in zip(stored, stored[1:]))
+    assert len(set(stored)) == len(pairs)
+    assert abs(stored[0]) < 2**43 and abs(stored[-1]) < 2**43
+
+
+def test_rerank_of_a_stored_rank_is_the_double_of_the_int_rerank():
+    # zz_rerank on the double equals the double of zz_rerank on the int,
+    # from the two end levels (and two inner ones) to every level, so a
+    # thresholded rebuild moves a stored rank exactly
+    for draw in (0, 1, _DRAW_MAX):
+        for r2 in _R2_EDGES:
+            for old in (_LEVEL_MIN, -1, 0, _LEVEL_MAX):
+                packed = _pack(old + draw, r2)
+                stored = float(packed)
+                for new in range(_LEVEL_MIN, _LEVEL_MAX + 1):
+                    moved = zz_rerank(stored, 2.0 ** old, 2.0 ** new)
+                    assert type(moved) is float
+                    assert moved == float(zz_rerank(packed, 2.0 ** old, 2.0 ** new))
+                    assert int(moved) == _pack(new + draw, r2), (draw, r2, old, new)
 
 
 def test_zz_rank_equals_the_reference_oracle():
@@ -123,44 +165,63 @@ def test_zz_rank_equals_the_reference_oracle():
                             == _reference_rank(seed, key, 0.375, stream)), (seed, key, stream)
 
 
-def _fill(d, keys):
+def _fill(d, keys, weight):
     for i, k in enumerate(keys):
-        d.insert(k, 0.5 ** i)
+        d.insert(k, weight(i))
 
 
-@pytest.mark.parametrize("make", [
-    lambda seed: ZipZipTree(seed),
-    lambda seed: ThresholdedDict(seed, 64),
-    lambda seed: DynamicThresholdDict(seed, scheme="whi", scheme_seed=1),
-    lambda seed: PairedDict(seed, capacity=64),
-    lambda seed: PairedDict(seed),
-], ids=["zipzip", "threshold", "dynamic-whi", "paired-cap", "paired"])
-def test_tree_ranks_equal_zz_rank_and_the_reference_oracle(make, monkeypatch):
+def _halving(i):
+    return 0.5 ** i
+
+
+# the least and largest doubles, subnormals, and weights far above 1
+_EXTREME_WEIGHTS = (5e-324, 1e300, 3 * 5e-324, sys.float_info.max, 2.0 ** -1022, 0.75,
+                    1e-300, 2.0 ** 1000)
+
+
+def _extreme(i):
+    return _EXTREME_WEIGHTS[i % len(_EXTREME_WEIGHTS)]
+
+
+@pytest.mark.parametrize("make, weight", [
+    (lambda seed: ZipZipTree(seed), _halving),
+    (lambda seed: ZipZipTree(seed), _extreme),
+    (lambda seed: ThresholdedDict(seed, 64), _halving),
+    (lambda seed: DynamicThresholdDict(seed, scheme="whi", scheme_seed=1), _halving),
+    (lambda seed: PairedDict(seed, capacity=64), _halving),
+    (lambda seed: PairedDict(seed), _halving),
+], ids=["zipzip", "biased-extremes", "threshold", "dynamic-whi", "paired-cap", "paired"])
+def test_tree_ranks_equal_zz_rank_and_the_reference_oracle(make, weight, monkeypatch):
     # each side's ranks, on its own stream (the paired fallback's is 8),
     # at the weight each was drawn at
     trees = {}
     for seed in _RANK_SEEDS:
         for keys in _RANK_KEYS:
             d = make(seed)
-            _fill(d, keys)
+            _fill(d, keys, weight)
+            fp = d.fingerprint()
             sides = [d, d.learned] if isinstance(d, PairedDict) else [d]
             for tree in sides:
                 for node in tree._inorder():
                     drawn = (threshold(node.weight, tree.N)
                              if isinstance(tree, ThresholdedDict) else node.weight)
                     args = (seed, node.key, drawn, tree._stream)
-                    assert type(node.rank) is int, args
-                    assert (divmod(node.rank, 2**32) == zz_rank(*args)
+                    # the stored rank is the exact double of the packed pair
+                    assert type(node.rank) is float, args
+                    assert int(node.rank) == _pack(*zz_rank(*args)), args
+                    assert (divmod(int(node.rank), 2**32) == zz_rank(*args)
                             == _reference_rank(*args)), args
-                    assert tree._show_rank(node.rank) == repr(zz_rank(*args)), args
-            trees[seed, keys[-1]] = d.fingerprint()
+                    text = "(%r:%s:%r)" % (node.key, repr(zz_rank(*args)), drawn)
+                    assert text.encode() in fp, args
+            trees[seed, keys[-1]] = fp
     # the same structures with every rank drawn by the reference zz_rank
+    # and stored as the int: Python compares an int with a float exactly
     monkeypatch.setattr(ZipZipTree, "_rank",
                         lambda self, key, w: _pack(*zz_rank(self.seed, key, w, self._stream)))
     for seed in _RANK_SEEDS:
         for keys in _RANK_KEYS:
             ref = make(seed)
-            _fill(ref, keys)
+            _fill(ref, keys, weight)
             assert ref.fingerprint() == trees[seed, keys[-1]]
 
 
@@ -170,7 +231,9 @@ def test_tree_ranks_equal_zz_rank_and_the_reference_oracle(make, monkeypatch):
     (lambda: DynamicThresholdDict(5, scheme="whi", scheme_seed=2), 1),
     (lambda: PairedDict(5, capacity=1000), 2),
     (lambda: PairedDict(5), 2),
-], ids=["zipzip", "threshold", "dynamic-whi", "paired-cap", "paired"])
+    (lambda: LTreap(5), 1),
+    (lambda: CTreap(5), 1),
+], ids=["zipzip", "threshold", "dynamic-whi", "paired-cap", "paired", "l-treap", "c-treap"])
 def test_an_insert_keys_no_hasher_and_encodes_its_key_once_per_side(make, sides,
                                                                     monkeypatch):
     # a rank copies the tree's hasher: no blake2b is keyed on the write
@@ -393,6 +456,25 @@ def test_treap_priority_c_identity_at_f1(ka, fa, kb, fb):
     t = CTreap(1)
     t.insert(5, 1.0)
     assert t._root.rank == math.log(oracle_uniform(1, 5, 3))
+
+
+@pytest.mark.parametrize("cls", [LTreap, CTreap])
+def test_treap_ranks_equal_the_reference_oracle(cls):
+    # a treap draws its oracle bits from its keyed hasher; every rank
+    # equals the one oracle_value gives, for each key type and for seeds
+    # that are negative or at least 2**64
+    for seed in _RANK_SEEDS:
+        for keys in _RANK_KEYS:
+            t = cls(seed)
+            _fill(t, keys, _halving)
+            assert len(t) == len(keys)
+            for node in t._inorder():
+                if cls is LTreap:
+                    expect = (_order_bits(node.weight) << 64) | oracle_value(seed, node.key, 2)
+                else:
+                    expect = math.log(oracle_uniform(seed, node.key, 3)) / node.weight
+                assert type(node.rank) is type(expect), (seed, node.key)
+                assert node.rank == expect, (seed, node.key)
 
 
 def test_ltreap_higher_frequency_is_ancestor():
@@ -899,12 +981,16 @@ def test_node_count_tracks_updates():
 # ----------------------------------------------------------- property tests
 
 @pytest.mark.parametrize("make, bound", [
-    (lambda: ZipZipTree(3), 150),
-    (lambda: PairedDict(3), 300),
-], ids=["zipzip", "paired"])
+    (lambda: ZipZipTree(3), 108),
+    (lambda: PairedDict(3), 214),
+    (lambda: ThresholdedDict(3, 10_000), 108),
+    (lambda: DynamicThresholdDict(3, scheme="whi", scheme_seed=1), 108),
+    (lambda: AVLTree(3), 82),
+], ids=["zipzip", "paired", "threshold", "dynamic-whi", "avl"])
 def test_bytes_per_key(make, bound):
     # what a 10,000-key tree allocates per key, its keys and weights not
-    # counted: a zip-zip node holds its rank as one int, not a pair
+    # counted: a zip-zip node holds its rank as one 24-byte double, where
+    # the packed int took 32-36 bytes and the pair more
     n = 10_000
     keys = random.Random(4).sample(range(10**9), n)
     weights = [(i + 1) / n for i in range(n)]
