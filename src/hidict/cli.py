@@ -140,18 +140,18 @@ def build_parser():
 
     v = sub.add_parser("verify", help="history-independence verification")
     vsub = v.add_subparsers(dest="mode", required=True)
-    vs = vsub.add_parser("shi")
+    vs = vsub.add_parser("shi", allow_abbrev=False)
     vs.add_argument("--universe", type=_POSITIVE_INT, default=128)
     vs.add_argument("--trials", type=_POSITIVE_INT, default=1000)
     vs.add_argument("--seed", type=int, default=0)
-    vw = vsub.add_parser("whi")
+    vw = vsub.add_parser("whi", allow_abbrev=False)
     vw.add_argument("--n-list", type=_INT_LIST, default=[5, 16, 33])
     vw.add_argument("--samples", type=_POSITIVE_INT, default=10_000)
     vw.add_argument("--seed", type=int, default=0)
 
     d = sub.add_parser("demo", help="demonstrations")
     dsub = d.add_subparsers(dest="demo", required=True)
-    dc = dsub.add_parser("counterexample")
+    dc = dsub.add_parser("counterexample", allow_abbrev=False)
     dc.add_argument("--seed", type=int, default=0)
     return parser
 

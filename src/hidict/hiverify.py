@@ -285,13 +285,3 @@ def growth_strategy(n: int, detours: int = 0,
                 tally[obj.N] += 1
     run.counts = counts
     return run
-
-
-def pure_insert_strategy(n: int) -> Callable[[object], None]:
-    """Insert keys 1..n in order."""
-    return growth_strategy(n)
-
-
-def detour_strategy(n: int, detours: int) -> Callable[[object], None]:
-    """Insert 1..n with ``detours`` interleaved insert-then-delete pairs."""
-    return growth_strategy(n, detours)

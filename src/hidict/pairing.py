@@ -10,7 +10,7 @@ independent under dynamic updates without any rebuild schedule.
 from __future__ import annotations
 
 import math
-from math import log2
+from math import floor, log2
 from typing import Optional
 
 from .structures import SearchResult, ZipZipTree, _BST, _PrecedenceTree
@@ -26,11 +26,11 @@ class PairedDict(ZipZipTree):
 
     The dict is itself the fallback: a uniform zip-zip tree on separate
     oracle streams, whose reads (``predecessor``, ``range_query``, ``keys``,
-    ``in``, ``len``) are the tree's own.  ``learned`` holds the same keys:
-    with ``capacity`` set, a threshold-wrapped biased zip-zip tree;
-    otherwise a plain biased zip-zip tree using the raw frequency estimates
-    as weights.  The fallback's own steps call the engine by class
-    (``_PrecedenceTree.insert(self, ...)``); the other inherited tree
+    ``len``) are the tree's own; ``in`` runs the paired ``search``.
+    ``learned`` holds the same keys: a threshold-wrapped biased zip-zip
+    tree with ``capacity`` set, else a biased zip-zip tree weighted by the
+    raw frequency estimates.  The fallback's own steps call the engine by
+    class (``_PrecedenceTree.insert(self, ...)``); the other inherited
     methods, ``search_budgeted`` among them, see the fallback side only.
     ``check_invariants`` checks both sides and that they hold the same keys.
     """
@@ -76,11 +76,11 @@ class PairedDict(ZipZipTree):
         assert self.learned.items() == self.items()
 
     def search_budget(self) -> int:
-        # int() is floor for the positive product; not max() or floor():
-        # their calls cost more than the first levels of the search.  The
-        # size is read, never cached: a cache would record past searches
+        # floor() equals int() here at half its cost (CPython 3.11); max()
+        # costs more than the first levels of the search.  The size is read,
+        # never cached: a cache would record past searches
         n = self._n
-        budget = int(self.gamma * log2(n if n > 2 else 2))
+        budget = floor(self.gamma * log2(n if n > 2 else 2))
         return budget if budget > 1 else 1
 
     def search(self, key) -> SearchResult:

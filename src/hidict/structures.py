@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
@@ -87,6 +88,9 @@ def zz_rank(seed: int, key, weight: float, stream: int = 0):
 # the oracle's stream byte, by stream mod 256
 _STREAM_BYTE = tuple(bytes((s,)) for s in range(256))
 
+# a weight check against it also rejects nan and an int no double holds
+_MAX_DOUBLE = sys.float_info.max
+
 
 def _oracle_keyed(keyed, key, stream: int) -> int:
     """``oracle_value(seed, key, stream)`` over ``keyed``, the seed's
@@ -110,7 +114,7 @@ def _zz_rank_keyed(keyed, key, weight: float, stream: int) -> float:
     ``|rank| < 1088 * 2**32 < 2**43 < 2**53``.  A float takes 24 bytes
     where that int takes 32-36, and it keeps every order and tie.
     """
-    if not 0 < weight < math.inf:
+    if not 0 < weight <= _MAX_DOUBLE:
         raise ValueError("weight must be positive and finite, got %r" % (weight,))
     h = keyed.copy()
     h.update(_key_bytes(key))
@@ -192,14 +196,7 @@ class _BST:
         return self._n
 
     def __contains__(self, key):
-        spine = self._spine
-        i = bisect_left(self._spine_keys, key)
-        cur = spine[i] if i < len(spine) else None if i else self._root
-        while cur is not None:
-            if key == cur.key:
-                return True
-            cur = cur.left if key < cur.key else cur.right
-        return False
+        return self.search(key).found
 
     def search(self, key) -> SearchResult:
         spine = self._spine
@@ -357,8 +354,6 @@ class _PrecedenceTree(_BST):
     physical layout, like the nodes' addresses (ROADMAP item 11).
     """
 
-    kind = "precedence"
-
     def __init__(self, seed: int):
         _BST.__init__(self, seed)
         self._spine = []
@@ -367,9 +362,8 @@ class _PrecedenceTree(_BST):
         # fed, so its state is a function of the seed alone
         self._hasher = keyed_hasher(seed)
 
-    # subclasses provide the rank for a (key, weight-or-frequency); the
-    # treaps also provide ``_show_rank(rank, weight)``, the rank's text in
-    # the fingerprint, which prints a zip-zip rank inline
+    # subclasses provide the rank for a (key, weight-or-frequency), and
+    # ``kind``, the name at the head of the fingerprint
     def _rank(self, key, weight):
         raise NotImplementedError
 
@@ -621,16 +615,16 @@ class _PrecedenceTree(_BST):
         and, when ``entries`` is a list, each payload entry appended to it
         in key order.  The stack loop meets a node in preorder on the way
         down, where it prints the node (and a ``.`` for each empty child),
-        and in key order on the way up.  A key's repr is taken once, a
-        zip-zip rank, an exact double, is turned into its packed int once
-        and printed inline as the pair, an L-treap's weight, which
-        its rank pair holds too, is printed twice from one repr, and a
-        thresholded tree's floor weight, which most of its nodes are drawn
-        at, is printed from one repr."""
+        and in key order on the way up.  A key's repr is taken once, and
+        every rank is printed inline: a zip-zip rank, an exact double, as
+        the pair its packed int holds; an L-treap's as (weight, oracle), the
+        weight's one repr printed twice, so a -0.0 keeps its sign; a
+        C-treap's as a one-float tuple.  A thresholded tree's floor weight,
+        which most of its nodes are drawn at, is printed from one repr."""
         floor = self._drawn_floor()
         if floor is not None:
             floor_text = repr(floor)
-        show = None if isinstance(self, ZipZipTree) else self._show_rank
+        zipzip = isinstance(self, ZipZipTree)
         ltreap = floor is None and isinstance(self, LTreap)
         # floor gives an integral double's int, in a call a third of int()'s
         as_int = math.floor
@@ -647,13 +641,13 @@ class _PrecedenceTree(_BST):
                 else:
                     w = cur.weight / 2.0  # threshold(weight, N), inline
                     text = floor_text if w <= floor else repr(w)
-                if show is None:  # an f-string formats faster than %
+                if zipzip:  # an f-string formats faster than %
                     rank = as_int(cur.rank)
                     append(f"({key}:({rank >> 32}, {rank & 0xFFFFFFFF}):{text})")
                 elif ltreap:
                     append(f"({key}:({text}, {cur.rank & MASK64}):{text})")
-                else:
-                    append("(%s:%s:%s)" % (key, show(cur.rank, cur.weight), text))
+                else:  # a C-treap's float rank, as the one-float tuple
+                    append(f"({key}:({cur.rank!r},):{text})")
                 push((cur, key))
                 cur = cur.left
             append(".")
@@ -715,23 +709,14 @@ class LTreap(_PrecedenceTree):
 
     def _rank(self, key, f):
         # 0 and negative estimates are valid priorities; a non-finite one
-        # would tie or fail to compare
-        if not math.isfinite(f):
-            raise ValueError("L-treap requires a finite frequency estimate, got %r" % (f,))
-        if f != float(f):
-            # the rank holds f as a double, so 2**53 + 1 would tie with 2**53
-            raise ValueError("L-treap requires an estimate a double holds exactly, got %r"
+        # would tie or fail to compare, and the rank holds f as a double, so
+        # 2**53 + 1 would tie with 2**53
+        if not -_MAX_DOUBLE <= f <= _MAX_DOUBLE or f != float(f):
+            raise ValueError("L-treap requires a finite estimate a double holds exactly, got %r"
                              % (f,))
         # the pair (f, oracle) as one int, which orders as the pair does
         # because 0 <= oracle < 2**64
         return (_order_bits(f) << 64) | _oracle_keyed(self._hasher, key, 2)
-
-    @staticmethod
-    def _show_rank(rank, f):
-        # repr((f, oracle)), as the fingerprint's walk prints it inline; f
-        # is the node's weight, which keeps the sign of a -0.0 that the
-        # rank ties with 0.0
-        return "(%r, %d)" % (f, rank & MASK64)
 
 
 class CTreap(_PrecedenceTree):
@@ -740,17 +725,12 @@ class CTreap(_PrecedenceTree):
     kind = "c-treap"
 
     def _rank(self, key, f):
-        if not 0 < f < math.inf:
+        if not 0 < f <= _MAX_DOUBLE:
             raise ValueError("C-treap requires a positive finite frequency estimate, got %r"
                              % (f,))
         u = (_oracle_keyed(self._hasher, key, 3) + 0.5) / 2.0**64  # oracle_uniform
         # log of u**(1/f); monotone transform, avoids underflow for tiny f
         return math.log(u) / f
-
-    @staticmethod
-    def _show_rank(rank, weight=None):
-        # repr((rank,)): the fingerprint prints the rank as a one-float tuple
-        return "(%r,)" % (rank,)
 
 
 class AVLTree(_BST):

@@ -20,8 +20,7 @@ from hidict.bench import (
 from hidict.dynamics import CutoffSimulator, counterexample_structures
 from hidict.hiverify import (
     amortized_counterexample_check,
-    detour_strategy,
-    pure_insert_strategy,
+    growth_strategy,
     shi_check,
     whi_check,
 )
@@ -74,8 +73,8 @@ def test_03_weak_hi(capsys):
     tvs = {}
     for n in (5, 16, 33):
         rep = whi_check(factory, n, 10_000,
-                        [pure_insert_strategy(n), detour_strategy(n, 1),
-                         detour_strategy(n, 3)], seed=n)
+                        [growth_strategy(n), growth_strategy(n, 1),
+                         growth_strategy(n, 3)], seed=n)
         tvs[n] = rep.tv_distance
 
     def grow_shrink(obj):

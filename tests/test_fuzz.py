@@ -14,6 +14,9 @@ cutoff N at least its size and report the model's raw frequency for
 every key and the fresh build's weight sum.
 The AVL tree depends on its history by design, so its replies, its keys
 and its own invariants (exact heights, balance in [-1, 1]) are checked.
+``_TieTree`` (``tests/test_ties.py``), a zip-zip tree whose ranks take three
+values, runs beside the others, so tied ranks meet the model, the range
+tallies and a sorted build after every step.
 """
 
 import pytest
@@ -25,6 +28,7 @@ from hidict.dynamics import AMORTIZED_INITIAL_CUTOFF, DynamicThresholdDict
 from hidict.pairing import PairedDict
 from hidict.structures import AVLTree, CTreap, LTreap, ZipZipTree
 from hidict.thresholding import ThresholdedDict
+from test_ties import _TieTree
 
 SEED = 41
 CAPACITY = 64
@@ -36,7 +40,7 @@ BOUNDS = st.integers(0, 41)
 
 
 # structures whose fresh build is a sorted bulk load
-_LOADED = {"zipzip": ZipZipTree, "l-treap": LTreap, "c-treap": CTreap}
+_LOADED = {"zipzip": ZipZipTree, "l-treap": LTreap, "c-treap": CTreap, "ties": _TieTree}
 
 
 def _range_visits(node, lo, hi):
@@ -86,6 +90,7 @@ class DictionaryContract(RuleBasedStateMachine):
             "paired-threshold": PairedDict(SEED, capacity=CAPACITY),
             "l-treap": LTreap(SEED),
             "c-treap": CTreap(SEED),
+            "ties": _TieTree(SEED),
             "avl": AVLTree(SEED),
         }
 

@@ -7,8 +7,7 @@ import hidict.hiverify
 from hidict.dynamics import CutoffSimulator, DynamicThresholdDict
 from hidict.hiverify import (
     amortized_counterexample_check,
-    detour_strategy,
-    pure_insert_strategy,
+    growth_strategy,
     shi_check,
     total_variation,
     whi_check,
@@ -96,7 +95,7 @@ def test_total_variation_basics():
 def test_whi_check_requires_two_strategies():
     with pytest.raises(ValueError):
         whi_check(lambda s: CutoffSimulator("whi", random.Random(s)), 8, 10,
-                  [pure_insert_strategy(8)])
+                  [growth_strategy(8)])
 
 
 def test_whi_check_rejects_a_strategy_off_target_n():
@@ -104,7 +103,7 @@ def test_whi_check_rejects_a_strategy_off_target_n():
     # strategy overshoots by one key
     with pytest.raises(ValueError):
         whi_check(lambda s: CutoffSimulator("whi", random.Random(s)), 8, 10,
-                  [pure_insert_strategy(8), pure_insert_strategy(9)])
+                  [growth_strategy(8), growth_strategy(9)])
 
 
 def _whi_factory(s):
@@ -115,24 +114,24 @@ def _whi_factory(s):
 def test_whi_check_needs_a_sample(samples):
     with pytest.raises(ValueError, match="samples"):
         whi_check(_whi_factory, 8, samples,
-                  [pure_insert_strategy(8), detour_strategy(8, 1)])
+                  [growth_strategy(8), growth_strategy(8, 1)])
 
 
 def test_whi_self_comparison_noise_floor():
     # identical strategy under independent randomness: TV is pure sampling
     # noise, which must sit below 0.02 at 3e4 samples
     report = whi_check(_whi_factory, target_n=16, samples=30_000,
-                       strategies=[pure_insert_strategy(16),
-                                   pure_insert_strategy(16)], seed=1)
+                       strategies=[growth_strategy(16),
+                                   growth_strategy(16)], seed=1)
     assert report.mode == "weak"
     assert report.tv_distance <= 0.02
 
 
 def test_whi_detour_strategies_indistinguishable():
     report = whi_check(_whi_factory, target_n=12, samples=20_000,
-                       strategies=[pure_insert_strategy(12),
-                                   detour_strategy(12, 4),
-                                   detour_strategy(12, 12)], seed=2)
+                       strategies=[growth_strategy(12),
+                                   growth_strategy(12, 4),
+                                   growth_strategy(12, 12)], seed=2)
     assert report.tv_distance <= 0.05 and report.passed
 
 

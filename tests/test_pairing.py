@@ -37,10 +37,13 @@ def test_delete_to_empty_matches_fresh():
 
 
 def test_zero_frequency_rejected():
-    d = PairedDict(0)
-    with pytest.raises(ValueError):
-        d.insert(1, 0.0)
-    assert d.node_count() == 0
+    # so is an int estimate above the largest double, with or without a cutoff
+    for capacity in (None, 8):
+        for bad in (0.0, 10**400):
+            d = PairedDict(0, capacity=capacity)
+            with pytest.raises(ValueError):
+                d.insert(1, bad)
+            assert d.node_count() == 0
 
 
 def test_tandem_invariant_and_atomicity():

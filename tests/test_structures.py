@@ -424,8 +424,6 @@ def test_treap_priority_l_is_frequency(a, b):
     for (f, o), packed in ((a, pa), (b, pb)):
         assert _float_of_order_bits(packed >> 64) == f
         assert packed & (2**64 - 1) == o
-        # the fingerprint prints the pair, f from the node's weight
-        assert LTreap._show_rank(packed, f) == repr((f, o))
 
 
 @given(st.lists(st.tuples(st.integers(-50, 50), _ESTIMATES), min_size=1, max_size=8,
@@ -451,7 +449,6 @@ def test_treap_priority_c_identity_at_f1(ka, fa, kb, fb):
     for key, f, rank in ((ka, fa, ra), (kb, fb, rb)):
         assert type(rank) is float
         assert rank == math.log(oracle_uniform(1, key, 3)) / f
-        assert CTreap._show_rank(rank) == repr((rank,))
     assert (ra < rb) == ((ra,) < (rb,))
     t = CTreap(1)
     t.insert(5, 1.0)
@@ -794,11 +791,12 @@ def test_paired_dict_rejects_load_sorted():
     assert len(d) == 0 and d.node_count() == 0
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400])
 @pytest.mark.parametrize("cls", [ZipZipTree, LTreap, CTreap])
 def test_non_finite_weight_rejected_before_any_change(cls, bad):
     # a NaN rank compares false both ways, so insertion order would pick
-    # the shape; an infinite one ties or overflows
+    # the shape; an infinite one ties or overflows, and so does an int
+    # above the largest double, which no double rank holds
     t = cls(7)
     for k in (1, 2, 3):
         t.insert(k, 0.25)

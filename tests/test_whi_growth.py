@@ -15,9 +15,7 @@ from hidict.cli import main
 from hidict.dynamics import CutoffSimulator
 from hidict.hiverify import (
     _trial_frequency,
-    detour_strategy,
     growth_strategy,
-    pure_insert_strategy,
     whi_check,
 )
 
@@ -30,8 +28,8 @@ def _reference_verify_whi(n_list, samples, seed):
     lines, ok = [], True
     for n in n_list:
         report = whi_check(_whi_factory, n, samples,
-                           [pure_insert_strategy(n), detour_strategy(n, 1),
-                            detour_strategy(n, 3)], seed)
+                           [growth_strategy(n), growth_strategy(n, 1),
+                            growth_strategy(n, 3)], seed)
         ok = ok and report.passed
         lines.append("whi n=%d samples=%d tv=%.4f %s"
                      % (n, samples, report.tv_distance,
@@ -93,7 +91,7 @@ def test_strategies_keep_their_operations(n, detours):
         if k <= detours:
             expected += [("i", n + k, _trial_frequency(n + k)), ("d", n + k)]
     rec = _Recorder()
-    (detour_strategy(n, detours) if detours else pure_insert_strategy(n))(rec)
+    (growth_strategy(n, detours) if detours else growth_strategy(n))(rec)
     assert rec.ops == expected
     rec = _Recorder()
     growth_strategy(n, detours)(rec)
