@@ -36,14 +36,35 @@ def key_type_error(key) -> TypeError:
     return TypeError("keys must be int, str or bytes, got %s" % type(key).__name__)
 
 
+def show_value(value) -> str:
+    """``repr(value)`` for an error message.  An int too long for ``repr``
+    (Python's limit on int-to-string conversion) shows as its type, its
+    sign and its number of decimal digits."""
+    try:
+        return repr(value)
+    except ValueError:
+        if not isinstance(value, int):
+            raise
+    size = abs(value)
+    # floor(bits * log10(2)) + 1 is the count or one above it; one more
+    # covers the float's rounding
+    digits = int(size.bit_length() * 0.30102999566398120) + 2
+    while digits > 1 and size < 10 ** (digits - 1):
+        digits -= 1
+    sign = "negative " if value < 0 else ""
+    return "<%s%s of %d digits>" % (sign, type(value).__name__, digits)
+
+
 def _key_bytes(key) -> bytes:
     kind = type(key)
     if kind is int:
-        # sign byte + magnitude keeps distinct ints distinct
+        # sign byte + big-endian magnitude of at least one byte keeps
+        # distinct ints distinct; a non-negative int's sign byte is the
+        # leading zero byte of one to_bytes
         if key < 0:
             key = -key
             return b"\x01" + key.to_bytes((key.bit_length() + 7) // 8 or 1, "big")
-        return b"\x00" + key.to_bytes((key.bit_length() + 7) // 8 or 1, "big")
+        return key.to_bytes(((key.bit_length() or 1) + 15) // 8, "big")
     if kind is bytes:
         return b"b" + key
     if kind is str:

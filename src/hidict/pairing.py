@@ -13,6 +13,7 @@ import math
 from math import floor, log2
 from typing import Optional
 
+from .core import show_value
 from .structures import SearchResult, ZipZipTree, _BST, _PrecedenceTree
 from .thresholding import ThresholdedDict
 
@@ -41,7 +42,7 @@ class PairedDict(ZipZipTree):
     def __init__(self, seed: int, gamma: float = 1.0, capacity: Optional[int] = None):
         # the comparisons also reject nan
         if not 0 < gamma < math.inf:
-            raise ValueError("gamma must be positive and finite, got %r" % (gamma,))
+            raise ValueError("gamma must be positive and finite, got %s" % show_value(gamma))
         super().__init__(seed)
         self.gamma = gamma
         self.capacity = capacity
@@ -53,7 +54,7 @@ class PairedDict(ZipZipTree):
     def insert(self, key, f: float, payload: Optional[bytes] = None):
         if f <= 0:
             # every paired key needs a frequency estimate
-            raise ValueError("paired insert requires f > 0, got %r" % (f,))
+            raise ValueError("paired insert requires f > 0, got %s" % show_value(f))
         self.learned.insert(key, f, payload)
         try:
             _PrecedenceTree.insert(self, key, 1.0, payload)

@@ -26,6 +26,7 @@ import struct
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
+from math import floor, log2
 from typing import Optional
 
 from .core import (
@@ -35,9 +36,9 @@ from .core import (
     KEY_TYPES,
     MASK64,
     _key_bytes,
-    geometric_from_bits,
     key_type_error,
     keyed_hasher,
+    show_value,
     # no tree calls these two, whose draws the keyed ones equal; they stay
     # bound here, where perfbench's hooks look them up
     oracle_uniform,
@@ -91,6 +92,14 @@ _STREAM_BYTE = tuple(bytes((s,)) for s in range(256))
 # a weight check against it also rejects nan and an int no double holds
 _MAX_DOUBLE = sys.float_info.max
 
+# a digest as the oracle's little-endian 64-bit int, and its low 32 bits,
+# each in one C call
+_U64 = struct.Struct("<Q").unpack
+_U32 = struct.Struct("<I").unpack_from
+
+# the leading set bits of each byte value, top bit first
+_LEADING_ONES = tuple(8 - (b ^ 0xFF).bit_length() for b in range(256))
+
 
 def _oracle_keyed(keyed, key, stream: int) -> int:
     """``oracle_value(seed, key, stream)`` over ``keyed``, the seed's
@@ -98,7 +107,7 @@ def _oracle_keyed(keyed, key, stream: int) -> int:
     h = keyed.copy()
     h.update(_key_bytes(key))
     h.update(_STREAM_BYTE[stream & 0xFF])
-    return int.from_bytes(h.digest(), "little")
+    return _U64(h.digest())[0]
 
 
 def _zz_rank_keyed(keyed, key, weight: float, stream: int) -> float:
@@ -113,21 +122,30 @@ def _zz_rank_keyed(keyed, key, weight: float, stream: int) -> float:
     the geometric draw in [0, 64], so ``|r1| <= 1087`` and
     ``|rank| < 1088 * 2**32 < 2**43 < 2**53``.  A float takes 24 bytes
     where that int takes 32-36, and it keeps every order and tie.
+
+    Every rank runs this, so it calls no Python helper but ``_key_bytes``:
+    r1 is ``_weight_level(weight) + geometric_from_bits(draw)`` written
+    out, and ``r1 * 2**32 + r2``, exact in doubles, is that float.  The
+    draw's leading set bits are those of its top byte, the digest's last,
+    unless that byte is 0xFF (1 draw in 256), when all 64 bits are read.
     """
     if not 0 < weight <= _MAX_DOUBLE:
-        raise ValueError("weight must be positive and finite, got %r" % (weight,))
+        raise ValueError("weight must be positive and finite, got %s" % show_value(weight))
     h = keyed.copy()
     h.update(_key_bytes(key))
     tie = h.copy()
     h.update(_STREAM_BYTE[stream & 0xFF])
     tie.update(_STREAM_BYTE[(stream + 1) & 0xFF])
-    r1 = _weight_level(weight) + geometric_from_bits(int.from_bytes(h.digest(), "little"))
-    return float((r1 << 32) | (int.from_bytes(tie.digest(), "little") & 0xFFFFFFFF))
+    draw = h.digest()
+    ones = _LEADING_ONES[draw[7]]
+    if ones == 8:  # 64 less the length of the draw's complement
+        ones = 64 - (_U64(draw)[0] ^ MASK64).bit_length()
+    return (floor(log2(weight)) + ones) * 4294967296.0 + _U32(tie.digest())[0]
 
 
 def _weight_level(weight: float) -> int:
     # the part of a zip-zip rank that depends on the weight
-    return math.floor(math.log2(weight))
+    return floor(log2(weight))
 
 
 def zz_rerank(rank, old_weight: float, new_weight: float):
@@ -272,7 +290,8 @@ class _BST:
         The spine nodes left of ``lo`` are counted and skipped.
         """
         if lo > hi:
-            raise ValueError("range bounds out of order: %r > %r" % (lo, hi))
+            raise ValueError("range bounds out of order: %s > %s"
+                             % (show_value(lo), show_value(hi)))
         spine = self._spine
         i = bisect_left(self._spine_keys, lo)
         cur = spine[i] if i < len(spine) else None if i else self._root
@@ -298,15 +317,20 @@ class _BST:
             out.append(cur.key)
             cur = cur.right
 
-    def _inorder(self):
+    def _inorder(self) -> list:
+        """The nodes in key order, collected by one stack loop."""
+        out = []
         stack = []
+        push, pop, emit = stack.append, stack.pop, out.append
         cur = self._root
-        while cur is not None or stack:
+        while True:
             while cur is not None:
-                stack.append(cur)
+                push(cur)
                 cur = cur.left
-            cur = stack.pop()
-            yield cur
+            if not stack:
+                return out
+            cur = pop()
+            emit(cur)
             cur = cur.right
 
     def keys(self):
@@ -525,7 +549,8 @@ class _PrecedenceTree(_BST):
                 if key == last:
                     raise DuplicateKeyError(key)
                 if key < last:
-                    raise ValueError("entries out of key order: %r after %r" % (key, last))
+                    raise ValueError("entries out of key order: %s after %s"
+                                     % (show_value(key), show_value(last)))
             nodes.append(_Node(key, rank, weight, payload))
         self._link_sorted(nodes)
 
@@ -712,8 +737,8 @@ class LTreap(_PrecedenceTree):
         # would tie or fail to compare, and the rank holds f as a double, so
         # 2**53 + 1 would tie with 2**53
         if not -_MAX_DOUBLE <= f <= _MAX_DOUBLE or f != float(f):
-            raise ValueError("L-treap requires a finite estimate a double holds exactly, got %r"
-                             % (f,))
+            raise ValueError("L-treap requires a finite estimate a double holds exactly, got %s"
+                             % show_value(f))
         # the pair (f, oracle) as one int, which orders as the pair does
         # because 0 <= oracle < 2**64
         return (_order_bits(f) << 64) | _oracle_keyed(self._hasher, key, 2)
@@ -726,8 +751,8 @@ class CTreap(_PrecedenceTree):
 
     def _rank(self, key, f):
         if not 0 < f <= _MAX_DOUBLE:
-            raise ValueError("C-treap requires a positive finite frequency estimate, got %r"
-                             % (f,))
+            raise ValueError("C-treap requires a positive finite frequency estimate, got %s"
+                             % show_value(f))
         u = (_oracle_keyed(self._hasher, key, 3) + 0.5) / 2.0**64  # oracle_uniform
         # log of u**(1/f); monotone transform, avoids underflow for tiny f
         return math.log(u) / f
@@ -747,23 +772,33 @@ class AVLTree(_BST):
     def _h(node):
         return node.rank if node is not None else 0
 
-    def _fix(self, node):
-        node.rank = 1 + max(self._h(node.left), self._h(node.right))
+    # The writes read a height as ``_h`` does, inline: a call per read
+    # would cost more than the read.
 
     def _rot_right(self, y):
         x = y.left
-        y.left = x.right
+        y.left = mid = x.right
         x.right = y
-        self._fix(y)
-        self._fix(x)
+        out = y.right
+        hm = mid.rank if mid is not None else 0
+        ho = out.rank if out is not None else 0
+        y.rank = hy = 1 + (hm if hm > ho else ho)
+        out = x.left
+        ho = out.rank if out is not None else 0
+        x.rank = 1 + (hy if hy > ho else ho)
         return x
 
     def _rot_left(self, x):
         y = x.right
-        x.right = y.left
+        x.right = mid = y.left
         y.left = x
-        self._fix(x)
-        self._fix(y)
+        out = x.left
+        hm = mid.rank if mid is not None else 0
+        ho = out.rank if out is not None else 0
+        x.rank = hx = 1 + (hm if hm > ho else ho)
+        out = y.right
+        ho = out.rank if out is not None else 0
+        y.rank = 1 + (hx if hx > ho else ho)
         return y
 
     def insert(self, key, weight: float = 1.0, payload: Optional[bytes] = None):
@@ -835,11 +870,15 @@ class AVLTree(_BST):
             hl = left.rank if left is not None else 0
             hr = right.rank if right is not None else 0
             if hl - hr > 1:
-                if self._h(left.left) < self._h(left.right):
+                outer, inner = left.left, left.right
+                if (outer.rank if outer is not None else 0) < (
+                        inner.rank if inner is not None else 0):
                     node.left = self._rot_left(left)
                 top = self._rot_right(node)
             elif hr - hl > 1:
-                if self._h(right.left) > self._h(right.right):
+                outer, inner = right.right, right.left
+                if (outer.rank if outer is not None else 0) < (
+                        inner.rank if inner is not None else 0):
                     node.right = self._rot_right(right)
                 top = self._rot_left(node)
             else:

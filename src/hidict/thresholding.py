@@ -10,41 +10,44 @@ capacity; ``dynamics.DynamicThresholdDict`` moves N with the dict's size.
 
 from __future__ import annotations
 
+import sys
 from typing import Optional
 
 import numpy as np
 
-from .core import CapacityError, MissingKeyError
+from .core import CapacityError, MissingKeyError, show_value
 from .structures import ZipZipTree, _PrecedenceTree, _weight_level, zz_rerank
+
+# the largest cutoff: up to it, 2.0 * N and so the floor weight
+# 1 / (2.0 * N) are finite doubles
+_MAX_CUTOFF = sys.float_info.max / 2
+
+
+def _valid_cutoff(N) -> int:
+    """N itself when it is a valid cutoff: exactly an int in
+    [1, ``_MAX_CUTOFF``]."""
+    if type(N) is not int or not 1 <= N <= _MAX_CUTOFF:
+        raise ValueError("cutoff must be an int in [1, max double / 2], got %s"
+                         % show_value(N))
+    return N
 
 
 def threshold(f: float, capacity: int) -> float:
-    """Thresholded frequency for one key; ``capacity`` is an int >= 1."""
+    """Thresholded frequency for one key; ``capacity`` is a valid cutoff."""
     if not 0.0 <= f <= 1.0:
-        raise ValueError("frequency must be in [0, 1], got %r" % (f,))
-    # inline, not _valid_cutoff: this runs on every insert and fingerprinted node
-    if type(capacity) is not int or capacity < 1:
-        raise ValueError("capacity must be an int >= 1, got %r" % (capacity,))
-    # not max(): its call doubles the cost per key of rebuilds and fingerprints
-    half, floor = f / 2.0, 1.0 / (2.0 * capacity)
+        raise ValueError("frequency must be in [0, 1], got %s" % show_value(f))
+    # not max(): its call doubles the cost per key of rebuilds
+    half, floor = f / 2.0, 1.0 / (2.0 * _valid_cutoff(capacity))
     return half if half > floor else floor
 
 
 def threshold_array(f: np.ndarray, capacity: int) -> np.ndarray:
     """Vectorized threshold over a frequency vector."""
     f = np.asarray(f, dtype=float)
-    if type(capacity) is not int or capacity < 1:
-        raise ValueError("capacity must be an int >= 1, got %r" % (capacity,))
+    _valid_cutoff(capacity)
     if f.size and (f.min() < 0.0 or f.max() > 1.0):
         raise ValueError("frequencies must be in [0, 1]")
     return np.maximum(f / 2.0, 1.0 / (2.0 * capacity))
-
-
-def _valid_cutoff(N) -> int:
-    """N itself when it is a valid cutoff: exactly an int, at least 1."""
-    if type(N) is not int or N < 1:
-        raise ValueError("cutoff must be an int >= 1, got %r" % (N,))
-    return N
 
 
 class ThresholdedDict(ZipZipTree):
@@ -64,7 +67,11 @@ class ThresholdedDict(ZipZipTree):
         self.N = _valid_cutoff(capacity)
 
     def _rank(self, key, f):
-        return ZipZipTree._rank(self, key, threshold(f, self.N))
+        # threshold(f, N), inline: N is a valid cutoff
+        if not 0.0 <= f <= 1.0:
+            raise ValueError("frequency must be in [0, 1], got %s" % show_value(f))
+        half, floor = f / 2.0, 1.0 / (2.0 * self.N)
+        return ZipZipTree._rank(self, key, half if half > floor else floor)
 
     def _drawn_floor(self):
         return threshold(0.0, self.N)
@@ -94,7 +101,7 @@ class ThresholdedDict(ZipZipTree):
         bottom = 2.0 ** (min(was, now) + 1)
         # the rank change of a key below both floors: that of the floor weight
         shift = zz_rerank(0, threshold(0.0, old), threshold(0.0, N))
-        nodes = list(self._inorder())
+        nodes = self._inorder()
         for node in nodes:
             f = node.weight
             if f < bottom:

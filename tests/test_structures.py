@@ -61,6 +61,21 @@ def test_zz_rank_eighth_weight_draw_two():
     assert zz_rank(11, k, 0.125)[0] == -1  # -3 + 2
 
 
+def test_zz_rank_draws_with_a_full_top_byte():
+    # a rank reads a draw's leading ones from its top byte, and all 64 bits
+    # when that byte is 0xFF: draws of 7, 8 and more ones, on both streams
+    for stream in (0, 8):
+        draws = {}
+        for k in range(1, 60_000):
+            draw = geometric_from_bits(oracle_value(4, k, stream))
+            if draw >= 7:
+                draws[k] = draw
+        assert {7, 8} <= set(draws.values()) and max(draws.values()) > 8
+        for k, draw in draws.items():
+            r1, r2 = zz_rank(4, k, 0.5, stream)
+            assert (r1, r2) == (-1 + draw, oracle_value(4, k, stream + 1) & 0xFFFFFFFF)
+
+
 def test_zz_rank_rejects_nonpositive_weight():
     with pytest.raises(ValueError):
         zz_rank(1, 2, 0.0)
