@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from collections import Counter
 
 from . import bench
 from .dynamics import CutoffSimulator, counterexample_structures
@@ -217,11 +218,13 @@ def _cmd_verify_whi(args):
     # smaller size is a prefix of it
     top = max(args.n_list)
     strategies = [growth_strategy(top, d, args.n_list) for d in (0, 1, 3)]
-    whi_check(lambda s: CutoffSimulator("whi", random.Random(s)), top, args.samples,
-              strategies, args.seed)
+    readings = whi_check(lambda s: CutoffSimulator("whi", random.Random(s)), top,
+                         args.samples, strategies, args.seed).readings
     ok = True
-    for n in args.n_list:
-        tv = worst_total_variation([run.counts[n] for run in strategies], args.samples)
+    for j, n in enumerate(args.n_list):
+        # each strategy's N distribution at the j-th listed size
+        tv = worst_total_variation([Counter(cutoffs[j] for cutoffs in tally.elements())
+                                    for tally in readings], args.samples)
         report = HiReport("weak", args.samples, 0, tv)
         ok = ok and report.passed
         print("whi n=%d samples=%d tv=%.4f %s"

@@ -20,6 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+from .core import show_value
 from .dynamics import counterexample_structures
 
 
@@ -29,6 +30,7 @@ class HiReport:
     trials: int
     mismatches: int
     tv_distance: Optional[float] = None
+    readings: Sequence[Counter] = ()  # whi_check's: see there
 
     @property
     def passed(self) -> bool:
@@ -153,8 +155,8 @@ def shi_check(structure_factory: Callable[[], object], universe_size: int,
         return HiReport("strong", total, mismatches)
 
     if trials < 1:
-        raise ValueError("shi_check needs trials >= 1 above a universe of 6, got %r"
-                         % (trials,))
+        raise ValueError("shi_check needs trials >= 1 above a universe of 6, got %s"
+                         % show_value(trials))
     universe = list(range(1, universe_size + 1))
     for _ in range(trials):
         total += 1
@@ -194,7 +196,7 @@ _WHI_CHUNKS = 8
 
 
 def whi_check(structure_factory: Callable[[int], object], target_n: int,
-              samples: int, strategies: Sequence[Callable[[object], None]],
+              samples: int, strategies: Sequence[Callable[[object], object]],
               seed: int = 0) -> HiReport:
     """Weak-HI distributional check over the cutoff marginal.
 
@@ -203,85 +205,77 @@ def whi_check(structure_factory: Callable[[int], object], target_n: int,
     strategy drives it from empty to the same target content set, of
     ``target_n`` keys (a ValueError otherwise), ``samples`` >= 1 times
     each.  Reports the maximum pairwise TV distance between the
-    strategies' empirical N distributions.  The scheme seed of a sample
-    does not depend on ``target_n``, so a run grown further passes through
-    the states of the shorter runs (see ``growth_strategy``).
+    strategies' empirical N distributions, and in ``readings`` a Counter
+    per strategy of the (hashable) values its runs returned.  The scheme
+    seed of a sample does not depend on ``target_n``, so a run grown
+    further passes through the states of the shorter runs (see
+    ``growth_strategy``).
 
     The samples run in ranges through ``fan_out``, so the factory and the
-    strategies may run in forked workers.  Of what a strategy changes
-    there, only the tallies of its ``counts`` (a dict of Counters, as
-    ``growth_strategy`` keeps) come back, added to the caller's.
+    strategies may run in forked workers.
     """
     if len(strategies) < 2:
         raise ValueError("whi_check needs at least 2 strategies")
     if samples < 1:
-        raise ValueError("whi_check needs samples >= 1, got %r" % (samples,))
-    tallies = [getattr(strategy, "counts", {}) for strategy in strategies]
-    # by identity: a strategy listed twice tallies both of its runs
-    totals = {id(t): {m: Counter(c) for m, c in t.items()} for t in tallies}
+        raise ValueError("whi_check needs samples >= 1, got %s" % show_value(samples))
 
     def run_range(task):
-        # the range's own N counts and tallies: a worker's strategy keeps
-        # its tallies between ranges, so they are cleared first
+        # the range's N counts and the tally of its runs' returns
         s_idx, start, stop = task
         strategy = strategies[s_idx]
-        for c in tallies[s_idx].values():
-            c.clear()
-        counts = Counter()
+        counts, reads = Counter(), Counter()
         for i in range(start, stop):
             obj = structure_factory(seed * 1_000_003 + s_idx * samples + i)
-            strategy(obj)
+            reads[strategy(obj)] += 1
             if obj.n != target_n:
-                raise ValueError("strategy %d ends at n=%d, not target_n=%d"
-                                 % (s_idx, obj.n, target_n))
+                raise ValueError("strategy %d ends at n=%d, not target_n=%s"
+                                 % (s_idx, obj.n, show_value(target_n)))
             counts[obj.N] += 1
-        return counts, {m: Counter(c) for m, c in tallies[s_idx].items()}
+        return counts, reads
 
     chunks = min(samples, _WHI_CHUNKS)
     tasks = [(s_idx, samples * j // chunks, samples * (j + 1) // chunks)
              for s_idx in range(len(strategies)) for j in range(chunks)]
     distributions = [Counter() for _ in strategies]
-    for (s_idx, _, _), (counts, tally) in zip(tasks, fan_out(run_range, tasks)):
+    readings = [Counter() for _ in strategies]
+    for (s_idx, _, _), (counts, reads) in zip(tasks, fan_out(run_range, tasks)):
         distributions[s_idx].update(counts)
-        for m, c in tally.items():
-            totals[id(tallies[s_idx])][m].update(c)
-    for t in tallies:
-        for m, c in t.items():
-            c.clear()
-            c.update(totals[id(t)][m])
-    return HiReport("weak", samples, 0, worst_total_variation(distributions, samples))
+        readings[s_idx].update(reads)
+    return HiReport("weak", samples, 0, worst_total_variation(distributions, samples),
+                    readings)
 
 
 def growth_strategy(n: int, detours: int = 0,
-                    sizes: Sequence[int] = ()) -> Callable[[object], None]:
+                    sizes: Sequence[int] = ()) -> Callable[[object], tuple]:
     """Insert keys 1..n; after each of the first ``detours`` keys k, insert
     and then delete key n + k.
 
-    The run's ``counts`` maps each size m in ``sizes`` to a Counter of the
-    cutoff N read after key m and its detour, where the run holds m keys:
-    the state a run of ``growth_strategy(m, detours)`` ends in, when the
+    The run returns a tuple of the cutoffs N it read at ``sizes``, in
+    their order.  N at size m is read after key m and its detour, in the
+    state a run of ``growth_strategy(m, detours)`` ends in when the
     structure ignores keys and frequencies (as ``CutoffSimulator`` does).
     A size outside 1..n, which the run never reaches, is a ValueError.
     """
     for m in sizes:
         if not 1 <= m <= n:
-            raise ValueError("size %r is outside 1..%d, the sizes the run passes" % (m, n))
-    counts = {m: Counter() for m in sizes}
+            raise ValueError("size %s is outside 1..%s, the sizes the run passes"
+                             % (show_value(m), show_value(n)))
     steps = [(k, _trial_frequency(k),
               (n + k, _trial_frequency(n + k)) if k <= detours else None,
-              counts.get(k))
+              k in sizes)
              for k in range(1, n + 1)]
 
     def run(obj):
         insert, delete = obj.insert, obj.delete
-        for key, f, detour, tally in steps:
+        read = {}
+        for key, f, detour, reads in steps:
             insert(key, f)
             if detour is not None:
                 insert(*detour)
                 delete(detour[0])
-            if tally is not None:
+            if reads:
                 if obj.n != key:
                     raise ValueError("the run holds %d keys at size %d" % (obj.n, key))
-                tally[obj.N] += 1
-    run.counts = counts
+                read[key] = obj.N
+        return tuple(map(read.__getitem__, sizes))
     return run

@@ -9,7 +9,7 @@ independent under dynamic updates without any rebuild schedule.
 
 from __future__ import annotations
 
-import math
+import sys
 from math import floor, log2
 from typing import Optional
 
@@ -20,6 +20,9 @@ from .thresholding import ThresholdedDict
 # gamma presets from the zip-zip height / expected-depth constants
 GAMMA_HEIGHT = 3.82
 GAMMA_EXPECTED_DEPTH = 1.3863
+# the largest gamma: log2 of any size a tree holds is below 64, so the
+# budget's gamma * log2(n) is a double
+_GAMMA_MAX = sys.float_info.max / 64
 
 
 class PairedDict(ZipZipTree):
@@ -41,8 +44,9 @@ class PairedDict(ZipZipTree):
 
     def __init__(self, seed: int, gamma: float = 1.0, capacity: Optional[int] = None):
         # the comparisons also reject nan
-        if not 0 < gamma < math.inf:
-            raise ValueError("gamma must be positive and finite, got %s" % show_value(gamma))
+        if not 0 < gamma <= _GAMMA_MAX:
+            raise ValueError("gamma must be positive and at most max double / 64, got %s"
+                             % show_value(gamma))
         super().__init__(seed)
         self.gamma = gamma
         self.capacity = capacity

@@ -640,12 +640,14 @@ class _PrecedenceTree(_BST):
         and, when ``entries`` is a list, each payload entry appended to it
         in key order.  The stack loop meets a node in preorder on the way
         down, where it prints the node (and a ``.`` for each empty child),
-        and in key order on the way up.  A key's repr is taken once, and
-        every rank is printed inline: a zip-zip rank, an exact double, as
-        the pair its packed int holds; an L-treap's as (weight, oracle), the
-        weight's one repr printed twice, so a -0.0 keeps its sign; a
-        C-treap's as a one-float tuple.  A thresholded tree's floor weight,
-        which most of its nodes are drawn at, is printed from one repr."""
+        and in key order on the way up.  A key's repr is taken once (an int
+        too long for repr prints as its ``hex``, which no decimal int, str
+        or bytes repr spells), and every rank is printed inline: a zip-zip
+        rank, an exact double, as the pair its packed int holds; an
+        L-treap's as (weight, oracle), the weight's one repr printed twice,
+        so a -0.0 keeps its sign; a C-treap's as a one-float tuple.  A
+        thresholded tree's floor weight, which most of its nodes are drawn
+        at, is printed from one repr."""
         floor = self._drawn_floor()
         if floor is not None:
             floor_text = repr(floor)
@@ -660,7 +662,10 @@ class _PrecedenceTree(_BST):
         cur = self._root
         while True:
             while cur is not None:
-                key = repr(cur.key)
+                try:
+                    key = repr(cur.key)
+                except ValueError:  # an int too long for repr
+                    key = hex(cur.key)
                 if floor is None:
                     text = repr(cur.weight)
                 else:
@@ -912,7 +917,11 @@ class AVLTree(_BST):
             if node is None:
                 parts.append(b".")
                 continue
-            parts.append(b"(%s:h%d)" % (repr(node.key).encode(), node.rank))
+            try:
+                key = repr(node.key)
+            except ValueError:  # an int too long for repr
+                key = hex(node.key)
+            parts.append(b"(%s:h%d)" % (key.encode(), node.rank))
             stack.append(node.right)
             stack.append(node.left)
         return b"".join(parts)

@@ -8,9 +8,12 @@ distribution); every ratio between ranks is preserved.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+from .core import show_value
 
 
 @dataclass
@@ -26,16 +29,17 @@ class WorkloadSpec:
             return zipf_frequencies(self.n, self.alpha)
         if self.dist == "inverse_power":
             return inverse_power_frequencies(self.n, self.alpha)
-        raise ValueError("unknown distribution %r" % (self.dist,))
+        raise ValueError("unknown distribution %s" % show_value(self.dist))
 
 
 def zipf_frequencies(n: int, alpha: float) -> np.ndarray:
     """Normalized f_i proportional to 1/i**alpha for ranks 1..n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not 1 <= alpha < math.inf:  # the comparisons also reject nan
-        raise ValueError("alpha must be finite and >= 1 for the Zipfian workload, got %r"
-                         % (alpha,))
+    # the comparisons also reject nan, and an int no double holds
+    if not 1 <= alpha <= sys.float_info.max:
+        raise ValueError("alpha must be finite and >= 1 for the Zipfian workload (at most "
+                         "the largest double), got %s" % show_value(alpha))
     ranks = np.arange(1, n + 1, dtype=float)
     f = ranks ** -alpha
     return f / f.sum()
@@ -46,8 +50,8 @@ def inverse_power_frequencies(n: int, alpha: float) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 1 < alpha < math.inf:
-        raise ValueError("alpha must be finite and > 1 for the inverse power workload, got %r"
-                         % (alpha,))
+        raise ValueError("alpha must be finite and > 1 for the inverse power workload, got %s"
+                         % show_value(alpha))
     # compute in log space to survive alpha**-i underflow at large n
     log_f = -np.arange(1, n + 1, dtype=float) * math.log(alpha)
     log_f -= log_f.max()
@@ -66,7 +70,7 @@ def _adversarial_ranks(i, n: int, delta: float):
     """``adversarial_rank`` of ``i``, an int or an int array of ranks in
     [1, n], in float64 arithmetic either way."""
     if not 0.0 <= delta <= 1.0:
-        raise ValueError("delta must be in [0, 1], got %r" % (delta,))
+        raise ValueError("delta must be in [0, 1], got %s" % show_value(delta))
     raw = i * (1.0 - delta) + delta * (n - i + 1)
     return np.clip(np.floor(raw + 0.5), 1, n).astype(np.int64)
 

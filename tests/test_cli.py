@@ -102,6 +102,8 @@ def test_nothing_to_run_is_a_usage_error(argv, flag, capsys):
      "delta must be in [0, 1]"),
     ("bench size --structures avl --gamma 0", "--gamma", "gamma must be positive"),
     ("bench size --structures avl --gamma nan", "--gamma", "gamma must be positive"),
+    ("bench size --structures avl --gamma 1e308", "--gamma",
+     "gamma must be positive and at most max double / 64, got 1e+308"),
     ("bench zipf-param --alpha -1 --n 8 --trials 1 --queries 10", "--alpha",
      "alpha must be finite and >= 1"),
     ("bench zipf-param --alpha nan --n 8 --trials 1 --queries 10", "--alpha",

@@ -3,7 +3,7 @@
 ``hiverify.fan_out`` runs a check's independent units on forked workers
 when two or more cores are usable, and in-process otherwise.  Every
 sample's scheme seed and every trial's RNG stream are fixed by the seed,
-so the reports, the per-size tallies and the CLI's stdout must not depend
+so the reports, with their readings, and the CLI's stdout must not depend
 on the number of cores, and no worker may outlive the call.
 """
 
@@ -11,7 +11,6 @@ import multiprocessing
 import os
 import random
 import threading
-from collections import Counter
 
 import pytest
 
@@ -62,8 +61,7 @@ def test_fan_out_runs_in_process_beside_another_thread(monkeypatch):
 def _whi_run(monkeypatch, cores, seed):
     _cores(monkeypatch, cores)
     runs = [growth_strategy(12, d, (12, 3, 7)) for d in (0, 1, 3)]
-    report = whi_check(_whi_factory, 12, 203, runs, seed)
-    return report, [run.counts for run in runs]
+    return whi_check(_whi_factory, 12, 203, runs, seed)
 
 
 @pytest.mark.parametrize("seed", [0, 4])
@@ -71,35 +69,21 @@ def test_whi_check_is_the_same_on_one_and_two_cores(seed, monkeypatch):
     one = _whi_run(monkeypatch, 1, seed)
     two = _whi_run(monkeypatch, 2, seed)
     assert one == two
-    for counts in one[1]:
-        assert all(sum(c.values()) == 203 for c in counts.values())
-
-
-def test_whi_check_adds_to_the_callers_tallies(monkeypatch):
-    # a strategy run through two checks tallies both
-    _cores(monkeypatch, 2)
-    runs = [growth_strategy(6, d, (6, 2)) for d in (0, 1)]
-    whi_check(_whi_factory, 6, 50, runs, 0)
-    whi_check(_whi_factory, 6, 70, runs, 1)
-    for run in runs:
-        assert {m: sum(c.values()) for m, c in run.counts.items()} == {6: 120, 2: 120}
-    # one strategy listed twice tallies both of its runs
-    twice = growth_strategy(6, 0, (6, 2))
-    whi_check(_whi_factory, 6, 50, [twice, twice], 0)
-    assert {m: sum(c.values()) for m, c in twice.counts.items()} == {6: 100, 2: 100}
+    assert len(one.readings) == 3
+    for tally in one.readings:
+        assert sum(tally.values()) == 203
 
 
 class _PidTally:
-    """Inserts keys 1..n; tallies each sample under the pid that ran it."""
+    """Inserts keys 1..n; returns the pid that ran the sample."""
 
     def __init__(self, n):
         self.n = n
-        self.counts = {"pid": Counter()}
 
     def __call__(self, obj):
         for key in range(1, self.n + 1):
             obj.insert(key, 0.1)
-        self.counts["pid"][os.getpid()] += 1
+        return os.getpid()
 
 
 @needs_fork
@@ -107,11 +91,10 @@ def test_tallies_sum_to_samples_when_a_worker_runs_two_ranges(monkeypatch):
     _cores(monkeypatch, 2)
     samples = 40 * hiverify._WHI_CHUNKS
     strategies = [_PidTally(5), _PidTally(5)]
-    whi_check(_whi_factory, 5, samples, strategies, 0)
+    report = whi_check(_whi_factory, 5, samples, strategies, 0)
     per_range = samples // hiverify._WHI_CHUNKS
     ran_two = False
-    for strategy in strategies:
-        pids = strategy.counts["pid"]
+    for pids in report.readings:
         assert sum(pids.values()) == samples
         assert os.getpid() not in pids
         ran_two = ran_two or max(pids.values()) >= 2 * per_range

@@ -21,7 +21,7 @@ import pytest
 from hidict.core import oracle_uniform, oracle_value
 from hidict.dynamics import DynamicThresholdDict
 from hidict.pairing import PairedDict
-from hidict.structures import CTreap, LTreap, ZipZipTree
+from hidict.structures import AVLTree, CTreap, LTreap, ZipZipTree
 from hidict.thresholding import ThresholdedDict, threshold
 
 
@@ -164,3 +164,52 @@ def test_ltreap_signed_zero_estimates_print_their_sign():
     assert fp == _reference(t)
     for key, f in ((1, 0.0), (2, -0.0), (3, -0.0), (4, 0.0)):
         assert ("(%d:(%r, %d):%r)" % (key, f, oracle_value(13, key, 2), f)).encode() in fp
+
+
+# an int key past Python's int-to-string limit (4,300 digits) prints as
+# its hex, in the shape and in the payload entries
+HUGE = 10**5000
+_HUGE_MAKERS = {
+    "avl": lambda: AVLTree(11),
+    "zipzip": lambda: ZipZipTree(11),
+    "l-treap": lambda: LTreap(11),
+    "c-treap": lambda: CTreap(11),
+    "threshold": lambda: ThresholdedDict(11, 16),
+    "paired": lambda: PairedDict(11),
+    "paired-capped": lambda: PairedDict(11, capacity=16),
+    "dynamic": lambda: DynamicThresholdDict(11, scheme="whi", scheme_seed=3),
+}
+
+
+def _key_text(key) -> bytes:
+    return (hex(key) if abs(key) >= HUGE else repr(key)).encode()
+
+
+def _huge_build(name, keys):
+    d = _HUGE_MAKERS[name]()
+    for key in keys:
+        d.insert(key, 0.05, b"p" if key % 2 else None)
+    return d
+
+
+@pytest.mark.parametrize("name", sorted(_HUGE_MAKERS))
+def test_an_int_key_too_long_for_repr_prints_as_hex(name):
+    keys = [-HUGE - 5, -HUGE, -3, 0, 2, 7, HUGE, HUGE + 1]
+    fp = _huge_build(name, keys).fingerprint()
+    for key in (-HUGE - 5, -HUGE, HUGE, HUGE + 1):
+        assert b"(%s:" % _key_text(key) in fp, key
+    if name != "avl":
+        # the one payload digest ends every precedence tree's fingerprint
+        entries = b"".join(b"%s=p;" % _key_text(key) for key in keys if key % 2)
+        assert fp.endswith(hashlib.sha256(entries).digest())
+    rng = random.Random(name)
+    for _ in range(3):
+        # an AVL tree's shape follows its history: it is rebuilt as built
+        shuffled = list(keys)
+        if name != "avl":
+            rng.shuffle(shuffled)
+        assert _huge_build(name, shuffled).fingerprint() == fp
+    for other in (HUGE + 3, -HUGE - 7, HUGE * 16):
+        # distinct huge keys, one key apart, print apart
+        changed = [other if key == HUGE + 1 else key for key in keys]
+        assert _huge_build(name, sorted(changed)).fingerprint() != fp

@@ -92,3 +92,23 @@ def test_fingerprint_hook_sees_both_sides_of_a_paired_dict():
     with spans.Hooks(tracer):
         t.fingerprint()
     assert [span[3] for span in tracer.spans].count("structures.fingerprint") == 1
+
+
+def test_whi_hook_counts_the_samples_of_verify_whi(monkeypatch, capsys):
+    # hiverify.whi_samples reads whi_check's strategies (its fourth
+    # positional argument) and the report's trials
+    from hidict import hiverify
+    from hidict.cli import main
+
+    spans = _spans()
+    monkeypatch.setattr(hiverify, "_usable_cores", lambda: 1)
+    samples = 120
+    argv = ["verify", "whi", "--n-list", "6,3", "--samples", str(samples), "--seed", "2"]
+    plain = main(argv), capsys.readouterr().out
+    tracer = spans.Tracer()
+    with spans.Hooks(tracer) as hooks:
+        traced = main(argv), capsys.readouterr().out
+    assert hooks.absent == []
+    assert traced == plain
+    assert "RESULT verify-whi" in plain[1]
+    assert tracer.events["hiverify.whi_samples"] == samples * 3

@@ -6,15 +6,18 @@ is at most half the largest double, so its floor weight 1/(2N) is a
 double; a larger one is refused where it is set.
 """
 
+import random
 import sys
 
 import numpy as np
 import pytest
 
-from hidict.dynamics import DynamicThresholdDict
+from hidict.dynamics import CutoffSimulator, DynamicThresholdDict
+from hidict.hiverify import growth_strategy, shi_check, whi_check
 from hidict.pairing import PairedDict
 from hidict.structures import CTreap, LTreap, ZipZipTree
 from hidict.thresholding import ThresholdedDict, threshold, threshold_array
+from hidict.workloads import adversarial_rank, inverse_power_frequencies, zipf_frequencies
 
 HUGE = 10**5000  # 5,001 digits
 HUGE_TEXT = "<int of 5001 digits>"
@@ -63,7 +66,8 @@ def test_unprintable_values_in_the_other_refusals():
     assert str(caught.value) == "frequency must be in [0, 1], got " + HUGE_TEXT
     with pytest.raises(ValueError) as caught:
         PairedDict(7, gamma=-HUGE)
-    assert str(caught.value) == "gamma must be positive and finite, got " + NEG_TEXT
+    assert str(caught.value) == ("gamma must be positive and at most max double / 64, got "
+                                 + NEG_TEXT)
     t = _filled(lambda: ZipZipTree(7))
     before = _state(t)
     with pytest.raises(ValueError) as caught:
@@ -117,3 +121,79 @@ def test_the_largest_cutoff_takes_keys():
     d = ThresholdedDict(1, 4)
     d.rebuild(_TOP)
     assert d.N == _TOP
+
+
+# the largest gamma: gamma * log2(n) stays a double for any size
+_GAMMA_TOP = sys.float_info.max / 64
+
+
+@pytest.mark.parametrize("bad, text", [
+    (1e308, "1e+308"), (10**400, repr(10**400)), (HUGE, HUGE_TEXT),
+    (_GAMMA_TOP * (1 + 2**-52), repr(_GAMMA_TOP * (1 + 2**-52)))],
+    ids=["1e308", "1e400", "huge", "top+ulp"])
+def test_a_gamma_whose_budget_overflows_is_refused(bad, text):
+    # 1e308 and 10**400 had constructed, then every search raised
+    # OverflowError
+    for capacity in (None, 10):
+        with pytest.raises(ValueError) as caught:
+            PairedDict(7, gamma=bad, capacity=capacity)
+        assert str(caught.value) == ("gamma must be positive and at most max double / 64, got "
+                                     + text)
+
+
+@pytest.mark.parametrize("gamma", [_GAMMA_TOP, int(_GAMMA_TOP), 1e300])
+def test_a_large_valid_gamma_still_searches(gamma):
+    for capacity in (None, 10):
+        d = PairedDict(7, gamma=gamma, capacity=capacity)
+        assert d.search(1).found is False  # empty
+        for k in range(1, 8):
+            d.insert(k, 0.1, b"v%d" % k)
+        # the budget outruns the learned side, which answers every search
+        assert d.search_budget() > 10**200
+        for k in range(1, 8):
+            res = d.search(k)
+            assert (res.found, res.payload) == (True, b"v%d" % k)
+        assert d.search(9).found is False
+        d.check_invariants()
+
+
+def _whi_factory(s):
+    return CutoffSimulator("whi", random.Random(s))
+
+
+def test_unprintable_values_in_the_checks_and_the_workloads():
+    cases = [
+        (lambda: shi_check(lambda: ZipZipTree(1), 8, -HUGE),
+         "shi_check needs trials >= 1 above a universe of 6, got " + NEG_TEXT),
+        (lambda: whi_check(_whi_factory, 4, -HUGE, [growth_strategy(4)] * 2),
+         "whi_check needs samples >= 1, got " + NEG_TEXT),
+        (lambda: whi_check(_whi_factory, HUGE, 5, [growth_strategy(4)] * 2),
+         "strategy 0 ends at n=4, not target_n=" + HUGE_TEXT),
+        (lambda: growth_strategy(5, 1, [3, HUGE]),
+         "size %s is outside 1..5, the sizes the run passes" % HUGE_TEXT),
+        (lambda: growth_strategy(5, 1, [-HUGE]),
+         "size %s is outside 1..5, the sizes the run passes" % NEG_TEXT),
+        (lambda: adversarial_rank(1, 5, HUGE), "delta must be in [0, 1], got " + HUGE_TEXT),
+        (lambda: adversarial_rank(1, 5, -HUGE), "delta must be in [0, 1], got " + NEG_TEXT),
+        (lambda: inverse_power_frequencies(5, -HUGE),
+         "alpha must be finite and > 1 for the inverse power workload, got " + NEG_TEXT),
+        (lambda: zipf_frequencies(5, -HUGE),
+         "alpha must be finite and >= 1 for the Zipfian workload (at most the largest "
+         "double), got " + NEG_TEXT),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValueError) as caught:
+            call()
+        assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("alpha", [HUGE, 10**400, 2**1024], ids=["huge", "1e400", "2^1024"])
+def test_a_zipf_alpha_no_double_holds_is_refused(alpha):
+    # 10**5000 had raised OverflowError from numpy, not a ValueError
+    text = HUGE_TEXT if alpha is HUGE else repr(alpha)
+    with pytest.raises(ValueError) as caught:
+        zipf_frequencies(5, alpha)
+    assert str(caught.value) == ("alpha must be finite and >= 1 for the Zipfian workload "
+                                 "(at most the largest double), got " + text)
+    # the largest double is an alpha: every rank past the first weighs 0
+    assert zipf_frequencies(3, sys.float_info.max).tolist() == [1.0, 0.0, 0.0]

@@ -63,13 +63,29 @@ def _distribution(strategy, s_idx, samples, seed):
 def test_checkpoints_equal_the_per_size_runs(seed):
     samples, sizes = 200, (9, 1, 4, 3, 2)
     runs = [growth_strategy(9, d, sizes) for d in (0, 1, 3)]
-    whi_check(_whi_factory, 9, samples, runs, seed)
-    for s_idx, (run, detours) in enumerate(zip(runs, (0, 1, 3))):
-        assert sorted(run.counts) == sorted(set(sizes))
-        for m in sizes:
-            assert sum(run.counts[m].values()) == samples
-            assert run.counts[m] == _distribution(
+    report = whi_check(_whi_factory, 9, samples, runs, seed)
+    assert len(report.readings) == len(runs)
+    for s_idx, (tally, detours) in enumerate(zip(report.readings, (0, 1, 3))):
+        assert sum(tally.values()) == samples
+        assert {len(cutoffs) for cutoffs in tally} == {len(sizes)}
+        for j, m in enumerate(sizes):
+            at_m = Counter(cutoffs[j] for cutoffs in tally.elements())
+            assert at_m == _distribution(
                 growth_strategy(m, detours), s_idx, samples, seed), (detours, m)
+
+
+@pytest.mark.parametrize("detours", [0, 2])
+def test_growth_returns_a_cutoff_per_listed_size(detours):
+    # in the order listed, a size listed twice read twice
+    sizes = [4, 1, 4, 2, 6]
+    for s in range(20):
+        expected = []
+        for m in sizes:
+            sim = _whi_factory(s)
+            growth_strategy(m, detours)(sim)
+            expected.append(sim.N)
+        assert growth_strategy(6, detours, sizes)(_whi_factory(s)) == tuple(expected)
+    assert growth_strategy(6, detours)(_whi_factory(0)) == ()
 
 
 class _Recorder:
@@ -114,4 +130,5 @@ def test_growth_checks_the_size_it_tallies():
     run = growth_strategy(3, 1, [1])
     with pytest.raises(ValueError, match="holds 2 keys at size 1"):
         run(_LeakyDelete("whi", random.Random(0)))
-    assert run.counts[1] == Counter()
+    # a run that holds one key at size 1 reads N = 1, the only WHI cutoff
+    assert run(_whi_factory(0)) == (1,)
