@@ -99,8 +99,10 @@ class PairedDict(ZipZipTree):
             # descent concluded (key absent) within budget; the tandem
             # invariant makes the fallback search redundant
             return res
+        # the fallback's own reply, charged the learned side's comparisons
         fb = _PrecedenceTree.search(self, key)
-        return SearchResult(fb.found, res.comparisons + fb.comparisons, fb.payload)
+        fb.comparisons += res.comparisons
+        return fb
 
     def search_costs(self) -> dict:
         """``{key: search(key).comparisons}`` for every held key: its

@@ -12,10 +12,12 @@ never hit the recursion limit.  Nodes already in key order are linked in
 O(n) by the Cartesian-tree stack construction (bulk loads and rebuilds).
 Each precedence tree keeps its right spine, the path from the root to the
 largest key, as a list of nodes and a list of their keys.  A root descent
-turns right at exactly the spine nodes with smaller keys, so every read and
-write bisects the spine's keys in C and starts at the first spine node it
-would not pass, counting the nodes it skipped.  A key appended above the
-largest that the largest outranks attaches in O(1), with no descent.
+turns right at exactly the spine nodes with smaller keys, so a write, and a
+read on a spine of more than ``_SPINE_BISECT`` nodes, bisects the spine's
+keys in C and starts at the first spine node it would not pass, counting
+the nodes it skipped; a read on a shorter spine, a balanced tree's, starts
+at the root.  A key appended above the largest that the largest outranks
+attaches in O(1), with no descent.
 """
 
 from __future__ import annotations
@@ -46,16 +48,21 @@ from .core import (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class SearchResult:
     """A search's reply.  ``comparisons`` is the paper's metric, the
     comparisons of the descent from the root: a descent that starts partway
     down the right spine counts the spine nodes it passes, as
-    ``search_costs`` counts depths."""
+    ``search_costs`` counts depths.  ``_BST.search`` sets the three slots
+    of a ``_blank`` instance itself."""
 
     found: bool
     comparisons: int
     payload: Optional[bytes] = None
+
+
+# an instance with no slot set, made in C
+_blank = object.__new__
 
 
 class _Node:
@@ -91,6 +98,11 @@ _STREAM_BYTE = tuple(bytes((s,)) for s in range(256))
 
 # a weight check against it also rejects nan and an int no double holds
 _MAX_DOUBLE = sys.float_info.max
+
+# the lowest int-to-string limit Python accepts (640 digits); an int key
+# whose repr is longer prints as its hex under every limit, so a
+# fingerprint does not depend on sys.set_int_max_str_digits
+_REPR_MAX = sys.int_info.str_digits_check_threshold
 
 # a digest as the oracle's little-endian 64-bit int, and its low 32 bits,
 # each in one C call
@@ -190,16 +202,28 @@ def _wins(rank_a, key_a, rank_b, key_b):
     return key_a < key_b
 
 
+# A read bisects the right spine only when it is longer than this.  A
+# randomized tree's spine holds about H_n nodes (Seidel and Aragon, 1996),
+# 2-17 on paper-check's 2,000-key trees, and a search skips about one of
+# them: there the root descent passes them as fast as a bisection would
+# skip them, and the bisection is pure fixed cost.  A path-shaped tree's
+# spine holds thousands.  One constant, not a bound read per tree: a bound
+# of ``_n.bit_length()`` cost about half the gain on hot reads.
+_SPINE_BISECT = 64
+
+
 class _BST:
     """Read path shared by every tree.
 
     Subclasses own the shape (what a node's ``rank`` holds) and the update
     path; the read path uses only ``key``, ``payload``, ``left`` and
-    ``right``, and the lists ``_spine`` and ``_spine_keys``.  A descent
-    starts at ``_spine[i]``, where ``i = bisect_left(_spine_keys, key)``
-    is the number of spine nodes the root descent turns right at, and
-    counts them; past the spine's end it ends, and with an empty spine, as
-    an AVL tree keeps, it starts at the root.
+    ``right``, and the lists ``_spine`` and ``_spine_keys``.  On a spine
+    of more than ``_SPINE_BISECT`` nodes, a descent starts at
+    ``_spine[i]``, where ``i = bisect_left(_spine_keys, key)`` is the
+    number of spine nodes the root descent turns right at, and counts
+    them; past the spine's end it ends.  On a shorter spine, and on the
+    empty one an AVL tree keeps, it starts at the root, whose descent
+    passes and counts the same nodes, so the replies are the same.
     """
 
     def __init__(self, seed: int):
@@ -217,15 +241,23 @@ class _BST:
         return self.search(key).found
 
     def search(self, key) -> SearchResult:
-        spine = self._spine
-        comps = bisect_left(self._spine_keys, key)
-        cur = spine[comps] if comps < len(spine) else None if comps else self._root
+        keys = self._spine_keys
+        if len(keys) > _SPINE_BISECT:
+            comps = bisect_left(keys, key)
+            cur = self._spine[comps] if comps < len(keys) else None
+        else:
+            comps, cur = 0, self._root
+        # the reply is a blank instance whose three slots are set here: the
+        # dataclass's __init__ is a Python frame, a fifth of a short search
+        res = _blank(SearchResult)
         while cur is not None:
             comps += 1
             if key == cur.key:
-                return SearchResult(True, comps, cur.payload)
+                res.found, res.comparisons, res.payload = True, comps, cur.payload
+                return res
             cur = cur.left if key < cur.key else cur.right
-        return SearchResult(False, comps)
+        res.found, res.comparisons, res.payload = False, comps, None
+        return res
 
     def search_costs(self) -> dict:
         """``{key: search(key).comparisons}`` for every held key, from one
@@ -252,11 +284,14 @@ class _BST:
         Returns (result, exhausted).  exhausted=True means the budget ran
         out before the descent reached a conclusion.
         """
-        spine = self._spine
-        comps = bisect_left(self._spine_keys, key)
-        cur = spine[comps] if comps < len(spine) else None if comps else self._root
-        if comps > budget:  # the budget ran out on the spine
-            return SearchResult(False, budget), True
+        keys = self._spine_keys
+        if len(keys) > _SPINE_BISECT:
+            comps = bisect_left(keys, key)
+            if comps > budget:  # the budget ran out on the spine
+                return SearchResult(False, budget), True
+            cur = self._spine[comps] if comps < len(keys) else None
+        else:
+            comps, cur = 0, self._root
         while cur is not None:
             if comps >= budget:
                 return SearchResult(False, comps), True
@@ -268,9 +303,12 @@ class _BST:
 
     def predecessor(self, key):
         keys = self._spine_keys
-        i = bisect_left(keys, key)
-        best = keys[i - 1] if i else None
-        cur = self._spine[i] if i < len(keys) else None if i else self._root
+        if len(keys) > _SPINE_BISECT:
+            i = bisect_left(keys, key)
+            best = keys[i - 1] if i else None
+            cur = self._spine[i] if i < len(keys) else None
+        else:
+            best, cur = None, self._root
         while cur is not None:
             if cur.key < key:
                 best = cur.key
@@ -287,16 +325,20 @@ class _BST:
         goes right, a node right of ``hi`` goes left, and a node in range
         goes left, is emitted, then goes right.  The stack holds only the
         in-range nodes still to be emitted, so a visit allocates nothing.
-        The spine nodes left of ``lo`` are counted and skipped.
+        On a spine longer than ``_SPINE_BISECT``, the spine nodes left
+        of ``lo`` are counted and skipped.
         """
         if lo > hi:
             raise ValueError("range bounds out of order: %s > %s"
                              % (show_value(lo), show_value(hi)))
-        spine = self._spine
-        i = bisect_left(self._spine_keys, lo)
-        cur = spine[i] if i < len(spine) else None if i else self._root
-        if tally is not None:
-            tally.count += i
+        keys = self._spine_keys
+        if len(keys) > _SPINE_BISECT:
+            i = bisect_left(keys, lo)
+            cur = self._spine[i] if i < len(keys) else None
+            if tally is not None:
+                tally.count += i
+        else:
+            cur = self._root
         out = []
         stack = []
         while True:
@@ -366,10 +408,11 @@ class _PrecedenceTree(_BST):
     ``_spine`` lists the nodes from the root along right children down to
     the largest key, and ``_spine_keys`` their keys, in increasing order;
     both are empty in an empty tree.  A root descent turns right at
-    exactly the spine nodes with keys below its key, so reads and writes
-    bisect ``_spine_keys`` and start at the first spine node they would
-    not pass: a finger search from the end of the key order (Guibas,
-    McCreight, Plass and Roberts, STOC 1977; Seidel and Aragon, 1996).  A
+    exactly the spine nodes with keys below its key, so writes, and reads
+    on a spine longer than ``_SPINE_BISECT``, bisect ``_spine_keys`` and
+    start at the first spine node they would not pass: a finger search
+    from the end of the key order (Guibas, McCreight, Plass and Roberts,
+    STOC 1977; Seidel and Aragon, 1996).  A
     key above the largest whose rank the largest node outranks becomes its
     right child with no descent.  The spine is a function of the shape,
     and so of the contents alone; every tree sets both lists in
@@ -641,8 +684,9 @@ class _PrecedenceTree(_BST):
         in key order.  The stack loop meets a node in preorder on the way
         down, where it prints the node (and a ``.`` for each empty child),
         and in key order on the way up.  A key's repr is taken once (an int
-        too long for repr prints as its ``hex``, which no decimal int, str
-        or bytes repr spells), and every rank is printed inline: a zip-zip
+        whose repr is longer than ``_REPR_MAX`` characters, or raises,
+        prints as its ``hex``, which no decimal int, str or bytes repr
+        spells), and every rank is printed inline: a zip-zip
         rank, an exact double, as the pair its packed int holds; an
         L-treap's as (weight, oracle), the weight's one repr printed twice,
         so a -0.0 keeps its sign; a C-treap's as a one-float tuple.  A
@@ -664,7 +708,9 @@ class _PrecedenceTree(_BST):
             while cur is not None:
                 try:
                     key = repr(cur.key)
-                except ValueError:  # an int too long for repr
+                    if len(key) > _REPR_MAX and type(cur.key) is int:
+                        key = hex(cur.key)
+                except ValueError:  # an int past the int-to-string limit
                     key = hex(cur.key)
                 if floor is None:
                     text = repr(cur.weight)
@@ -730,8 +776,9 @@ class LTreap(_PrecedenceTree):
     (key, f) set under any insertion order, so an f monotone in the key
     makes a path; that is inherent to the priority rule and deliberately
     not papered over: a search of key k reports k comparisons.  With f
-    falling the path is a right path, all spine, so reads and writes
-    bisect to key k in O(log n) time and ascending appends cost O(1);
+    falling the path is a right path, all spine, so writes, and reads once
+    it is longer than ``_SPINE_BISECT``, bisect to key k in O(log n) time
+    and ascending appends cost O(1);
     with f rising it is a left path, and key k still takes k levels.
     """
 
@@ -919,7 +966,9 @@ class AVLTree(_BST):
                 continue
             try:
                 key = repr(node.key)
-            except ValueError:  # an int too long for repr
+                if len(key) > _REPR_MAX and type(node.key) is int:
+                    key = hex(node.key)
+            except ValueError:  # an int past the int-to-string limit
                 key = hex(node.key)
             parts.append(b"(%s:h%d)" % (key.encode(), node.rank))
             stack.append(node.right)

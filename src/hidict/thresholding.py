@@ -45,7 +45,8 @@ def threshold_array(f: np.ndarray, capacity: int) -> np.ndarray:
     """Vectorized threshold over a frequency vector."""
     f = np.asarray(f, dtype=float)
     _valid_cutoff(capacity)
-    if f.size and (f.min() < 0.0 or f.max() > 1.0):
+    # min and max propagate a nan, which fails both tests
+    if f.size and not (0.0 <= f.min() and f.max() <= 1.0):
         raise ValueError("frequencies must be in [0, 1]")
     return np.maximum(f / 2.0, 1.0 / (2.0 * capacity))
 

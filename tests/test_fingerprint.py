@@ -14,6 +14,7 @@ the reference of each side, each with its own payload digest.
 import hashlib
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -213,3 +214,40 @@ def test_an_int_key_too_long_for_repr_prints_as_hex(name):
         # distinct huge keys, one key apart, print apart
         changed = [other if key == HUGE + 1 else key for key in keys]
         assert _huge_build(name, sorted(changed)).fingerprint() != fp
+
+
+# keys of 1,001 and 5,001 digits, positive and negative, and the two keys
+# of 640 digits: the negative one's repr, of 641 characters, is over the
+# lowest int-to-string limit Python accepts, so it prints as hex
+_LONG_KEYS = [-(10**5000) - 5, -(10**1000) - 1, -(10**639), -3, 0, 2, 10**639,
+              10**1000 + 2, 10**5000]
+
+
+@pytest.mark.parametrize("name", sorted(_HUGE_MAKERS))
+def test_a_fingerprint_does_not_depend_on_the_int_digit_limit(name):
+    d = _huge_build(name, _LONG_KEYS)
+    before = sys.get_int_max_str_digits()
+    prints = []
+    try:
+        for limit in (640, 4300, 0):
+            sys.set_int_max_str_digits(limit)
+            prints.append(d.fingerprint())
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert prints[0] == prints[1] == prints[2]
+    fp = prints[0]
+    for key in _LONG_KEYS:
+        text = hex(key) if key < -(10**638) or key > 10**639 else repr(key)
+        assert b"(%s:" % text.encode() in fp, key
+
+
+@pytest.mark.parametrize("name", sorted(_HUGE_MAKERS))
+def test_long_str_and_bytes_keys_print_as_their_repr(name):
+    # only an int key's long repr gives way to its hex
+    for keys in (["a" * 1000, "b", "c" * 5000], [b"a" * 1000, b"b", b"c" * 5000]):
+        d = _HUGE_MAKERS[name]()
+        for key in keys:
+            d.insert(key, 0.05, b"p")
+        fp = d.fingerprint()
+        for key in keys:
+            assert b"(%s:" % repr(key).encode() in fp, key[:3]

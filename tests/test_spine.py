@@ -1,19 +1,24 @@
-"""Every read that starts partway down the right spine equals the root walk.
+"""Every read equals the root walk, whether it starts at the root or
+partway down the right spine.
 
-A read bisects the spine's keys and starts at the first spine node its root
-descent would not pass, counting the nodes it skipped.  The reference here
-is the plain descent from the root, written out in the test: for every held
-key, every gap between keys and keys below and above all of them, the
-replies and the comparison counts of ``search``, ``search_budgeted`` (every
-budget from 1 to depth + 1), ``predecessor``, ``range_query`` with a tally
-and ``in`` must match it.
+A read on a spine of more than ``_SPINE_BISECT`` (64) nodes bisects the
+spine's keys and starts at the first spine node its root descent would not
+pass, counting the nodes it skipped; a read on a shorter spine starts at
+the root.  The reference here is the plain descent from the root, written
+out in the test: for every held key, every gap between keys and keys below
+and above all of them, the replies and the comparison counts of
+``search``, ``search_budgeted`` (every budget from 1 to depth + 1),
+``predecessor``, ``range_query`` with a tally and ``in`` must match it.
+Which reads bisect is pinned by counting the calls of ``bisect_left``.
 """
 
 import random
 
 import pytest
 
+import hidict.structures
 import hidict.workloads as hw
+from hidict.bench import make_structure
 from hidict.core import ComparisonTally
 from hidict.dynamics import DynamicThresholdDict
 from hidict.pairing import PairedDict
@@ -261,3 +266,77 @@ def test_str_and_bytes_keys(kind, make):
     t.check_invariants()
     probes = _probes(t.keys(), lambda k: k + enc("!"), enc(""), enc("~"))
     _assert_reads_equal_root_walk(t, probes)
+
+
+def _right_path(n):
+    # f falling with the key makes the L-treap of keys 1..n a right path
+    t = LTreap(9)
+    for key in range(1, n + 1):
+        t.insert(3 * key, 1.0 / key, b"r%d" % key)
+    assert t._spine_keys == [3 * key for key in range(1, n + 1)]
+    return t
+
+
+@pytest.mark.parametrize("n", [64, 65])
+def test_right_paths_on_both_sides_of_the_bisection_bound(n):
+    # a 64-node spine is read from the root, a 65-node one by bisection
+    t = _right_path(n)
+    _assert_reads_equal_root_walk(t, _int_probes(t))
+
+
+def _counting_bisect(monkeypatch):
+    calls = []
+    bisect_left = hidict.structures.bisect_left
+
+    def counting(keys, key):
+        calls.append(key)
+        return bisect_left(keys, key)
+
+    monkeypatch.setattr(hidict.structures, "bisect_left", counting)
+    return calls
+
+
+def _reads(t, key):
+    return [lambda: t.search(key), lambda: _BST.search_budgeted(t, key, 5),
+            lambda: t.predecessor(key), lambda: t.range_query(key, key + 10)]
+
+
+def _paper_check_tree(name):
+    # paper-check's trees: keys 1..2000 under falling Zipf predictions
+    n = 2000
+    pred = hw.assigned_frequencies(hw.WorkloadSpec("zipfian", n, 1.0, 0.0, 100_000)).tolist()
+    t = make_structure(name, 7, n)
+    learned = name not in ("avl", "zipzip")
+    for key in range(1, n + 1):
+        t.insert(key, pred[key - 1] if learned else 1.0)
+    return t
+
+
+@pytest.mark.parametrize("name", ["zipzip", "biased-zipzip", "threshold-zipzip",
+                                  "paired-zipzip", "c-treap", "avl"])
+def test_balanced_trees_read_from_the_root(monkeypatch, name):
+    t = _paper_check_tree(name)
+    sides = (t, t.learned) if isinstance(t, PairedDict) else (t,)
+    assert all(len(side._spine_keys) <= 64 for side in sides)
+    calls = _counting_bisect(monkeypatch)
+    for key in (-1, 1, 2, 17, 1000, 1999, 2000, 2001):
+        for read in _reads(t, key):
+            read()
+        assert (key in t) == (1 <= key <= 2000)
+    assert calls == []
+    if name != "avl":
+        # writes keep their bisection, which the spine update needs: a
+        # paired delete bisects on each side
+        t.delete(1000)
+        assert calls == [1000] * len(sides)
+
+
+@pytest.mark.parametrize("n", [64, 65, 2000])
+def test_right_paths_bisect_once_per_read_past_64_keys(monkeypatch, n):
+    t = _right_path(n)
+    calls = _counting_bisect(monkeypatch)
+    for key in (0, 3, 3 * (n // 2), 3 * (n // 2) + 1, 3 * n, 3 * n + 1):
+        for read in _reads(t, key):
+            before = len(calls)
+            read()
+            assert len(calls) == before + (n > 64), key

@@ -63,6 +63,9 @@ def test_threshold_array_matches_scalar():
         assert out[i] == threshold(float(f[i]), 123)
     with pytest.raises(ValueError):
         threshold_array(np.array([1.5]), 10)
+    # as threshold(nan, 10) does
+    with pytest.raises(ValueError):
+        threshold_array(np.array([0.1, np.nan]), 10)
 
 
 @pytest.mark.parametrize("bad", [0, -3, 2.5, 2.0, True, np.int64(4)])
