@@ -135,12 +135,15 @@ def shi_check(structure_factory: Callable[[], object], universe_size: int,
               trials: int, seed: int = 0) -> HiReport:
     """Strong-HI distinguisher over random (and small exhaustive) histories.
 
-    For universe_size <= 6 every insertion order of the full key set is
-    enumerated; otherwise ``trials`` (at least 1, so that a pass means
-    something was compared) random subsets are realized by two
+    For universe_size from 1 to 6 every insertion order of the full key set
+    is enumerated; otherwise ``trials`` random subsets are realized by two
     distinct operation sequences each (including delete/reinsert and
-    transient-key detours) and compared to the sorted-order build.
+    transient-key detours) and compared to the sorted-order build.  An
+    empty universe, or no trials above 6 keys, raises ``ValueError``: a
+    pass must mean that something was compared.
     """
+    if universe_size < 1:
+        raise ValueError("shi_check needs universe_size >= 1, got %s" % show_value(universe_size))
     rng = random.Random(seed)
     mismatches = 0
     total = 0

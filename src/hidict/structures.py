@@ -2,14 +2,14 @@
 
 All trees share one contract: insert/delete/search/predecessor/range_query/
 node_count plus a canonical ``fingerprint()`` used by the history-independence
-harness.  Every tree, AVL included, inherits its read path from ``_BST``.
-The randomized trees (zip-zip and both learned treaps) are built on
-a single precedence-tree engine: each node carries a totally ordered rank, the
-tree is the unique BST that is heap-ordered on ranks (ties broken toward the
-smaller key), and insertion/deletion use iterative unzip/zip so that deep,
-degenerate trees (which the adversarial benchmarks deliberately produce)
-never hit the recursion limit.  Nodes already in key order are linked in
-O(n) by the Cartesian-tree stack construction (bulk loads and rebuilds).
+harness.  Every tree, AVL included, inherits its read path and its fingerprint
+walk from ``_BST``.  The randomized trees (zip-zip and both learned treaps)
+are built on a single precedence-tree engine: each node carries a totally
+ordered rank, the tree is the unique BST that is heap-ordered on ranks (ties
+broken toward the smaller key), and insertion/deletion use iterative unzip/zip
+so that deep, degenerate trees (which the adversarial benchmarks deliberately
+produce) never hit the recursion limit.  Nodes already in key order are linked
+in O(n) by the Cartesian-tree stack construction (bulk loads and rebuilds).
 Each precedence tree keeps its right spine, the path from the root to the
 largest key, as a list of nodes and a list of their keys.  A root descent
 turns right at exactly the spine nodes with smaller keys, so a write, and a
@@ -213,12 +213,12 @@ _SPINE_BISECT = 64
 
 
 class _BST:
-    """Read path shared by every tree.
+    """Read path and fingerprint walk shared by every tree.
 
-    Subclasses own the shape (what a node's ``rank`` holds) and the update
-    path; the read path uses only ``key``, ``payload``, ``left`` and
-    ``right``, and the lists ``_spine`` and ``_spine_keys``.  On a spine
-    of more than ``_SPINE_BISECT`` nodes, a descent starts at
+    Subclasses own the shape (a node's ``rank``, printed as ``_RANK_TEXT``
+    says) and the update path; the read path uses only ``key``, ``payload``,
+    ``left`` and ``right``, and the lists ``_spine`` and ``_spine_keys``.
+    On a spine of more than ``_SPINE_BISECT`` nodes, a descent starts at
     ``_spine[i]``, where ``i = bisect_left(_spine_keys, key)`` is the
     number of spine nodes the root descent turns right at, and counts
     them; past the spine's end it ends.  On a shorter spine, and on the
@@ -401,6 +401,70 @@ class _BST:
             stack.append((node.left, lo, node.key))
             stack.append((node.right, node.key, hi))
 
+    def _drawn_floor(self):
+        # None when every rank was drawn at its node's weight, else the float
+        # floor of the drawn weight max(weight / 2, floor), computed inline
+        return None
+
+    def _walk(self, head: str, entries) -> bytes:
+        """``head``, then the tree in preorder, and each payload entry
+        appended to ``entries``, when it is a list, in key order: the stack
+        loop prints a node (and a ``.`` for each empty child) on the way
+        down and meets it in key order on the way up.  A key's repr is
+        taken once (an int whose repr is longer than ``_REPR_MAX`` or
+        raises prints as its ``hex``, which no decimal int, str or bytes
+        repr spells).  Every rank is printed inline, as ``_RANK_TEXT``
+        names: a zip-zip double as its packed pair; an L-treap's as
+        (weight, oracle), one repr of the weight printed twice, so a -0.0
+        keeps its sign; a C-treap's as a one-float tuple; an AVL height
+        after ``h``, with no weight.  A thresholded tree's floor weight,
+        which most of its nodes are drawn at, is printed from one repr."""
+        floor = self._drawn_floor()
+        floor_text = repr(floor)
+        form = self._RANK_TEXT
+        height = form == "h"
+        pair = form == "(r1, r2)"
+        oracle = form == "(f, oracle)"
+        # floor gives an integral double's int, in a call a third of int()'s
+        as_int = math.floor
+        parts = [head]
+        append = parts.append
+        stack = []
+        push, pop = stack.append, stack.pop
+        cur = self._root
+        while True:
+            while cur is not None:
+                try:
+                    key = repr(cur.key)
+                    if len(key) > _REPR_MAX and type(cur.key) is int:
+                        key = hex(cur.key)
+                except ValueError:  # an int past the int-to-string limit
+                    key = hex(cur.key)
+                if height:
+                    append(f"({key}:h{cur.rank})")
+                else:
+                    if floor is None:
+                        text = repr(cur.weight)
+                    else:
+                        w = cur.weight / 2.0  # threshold(weight, N), inline
+                        text = floor_text if w <= floor else repr(w)
+                    if pair:  # an f-string formats faster than %
+                        rank = as_int(cur.rank)
+                        append(f"({key}:({rank >> 32}, {rank & 0xFFFFFFFF}):{text})")
+                    elif oracle:
+                        append(f"({key}:({text}, {cur.rank & MASK64}):{text})")
+                    else:  # a C-treap's float rank, as the one-float tuple
+                        append(f"({key}:({cur.rank!r},):{text})")
+                push((cur, key))
+                cur = cur.left
+            append(".")
+            if not stack:
+                return "".join(parts).encode()
+            cur, key = pop()
+            if entries is not None and cur.payload is not None:
+                entries.append(b"%s=%s;" % (key.encode(), cur.payload))
+            cur = cur.right
+
 
 class _PrecedenceTree(_BST):
     """Base for trees whose shape is the unique heap-on-ranks BST.
@@ -429,8 +493,8 @@ class _PrecedenceTree(_BST):
         # fed, so its state is a function of the seed alone
         self._hasher = keyed_hasher(seed)
 
-    # subclasses provide the rank for a (key, weight-or-frequency), and
-    # ``kind``, the name at the head of the fingerprint
+    # subclasses provide the rank for a (key, weight-or-frequency), its
+    # ``_RANK_TEXT``, and ``kind``, the name at the head of the fingerprint
     def _rank(self, key, weight):
         raise NotImplementedError
 
@@ -438,6 +502,9 @@ class _PrecedenceTree(_BST):
         # the rank comes first: it rejects an unsupported key type even
         # when the key equals a present one (1.0 == 1)
         rank = self._rank(key, weight)
+        # the fingerprint prints a payload's bytes, which must stay as given
+        if payload is not None and type(payload) is not bytes:
+            raise TypeError("payload must be bytes or None, got %s" % type(payload).__name__)
         spine = self._spine
         keys = self._spine_keys
         if keys and key > keys[-1] and rank <= spine[-1].rank:
@@ -483,15 +550,8 @@ class _PrecedenceTree(_BST):
             # larger, so a present key above cur is the last right turn
             if right is not None and right.key == key:
                 raise DuplicateKeyError(key)
-        # the rest of the search path is the unzip path below cur; a
-        # present key lies on it when its rank is below the new one
-        node = cur
-        while node is not None:
-            if key == node.key:
-                raise DuplicateKeyError(key)
-            node = node.right if node.key < key else node.left
-        new = _Node(key, rank, weight, payload)
-        # new takes cur's position; unzip cur's subtree around key
+        # new takes cur's position; unzip cur's subtree, the rest of the
+        # search path, around key (every key below a present one is smaller)
         lt = rt = None
         lt_tail = rt_tail = None
         node = cur
@@ -514,6 +574,10 @@ class _PrecedenceTree(_BST):
             lt_tail.right = None
         if rt_tail is not None:
             rt_tail.left = None
+            if rt_tail.key == key:  # a present key ends the right half
+                self._zip(lt, rt)  # the unique subtree again, rooted at cur
+                raise DuplicateKeyError(key)
+        new = _Node(key, rank, weight, payload)
         new.left = lt
         new.right = rt
         if parent is None:
@@ -587,6 +651,9 @@ class _PrecedenceTree(_BST):
         nodes = []
         for key, weight, payload in entries:
             rank = self._rank(key, weight)
+            if payload is not None and type(payload) is not bytes:
+                raise TypeError("payload must be bytes or None, got %s"
+                                % type(payload).__name__)
             if nodes:
                 last = nodes[-1].key
                 if key == last:
@@ -653,12 +720,6 @@ class _PrecedenceTree(_BST):
             attach_node.left = rest
         return root
 
-    def _drawn_floor(self):
-        # None when every rank was drawn at its node's weight; a float
-        # floor when it was drawn at the thresholded weight
-        # max(weight / 2, floor), which the fingerprint computes inline
-        return None
-
     def header(self) -> bytes:
         # what the dict holds beside the tree, at the head of its fingerprint
         return b""
@@ -670,69 +731,14 @@ class _PrecedenceTree(_BST):
         A ``digest`` given by the caller is printed in place of that
         sha256, and the walk collects no entries: a paired dict's fallback
         side takes the learned side's digest."""
+        head = "%s;seed=%d;n=%d;" % (self.kind, self.seed, self._n)
         if digest is None:
             entries = []
-            shape = self._walk(entries)
+            shape = self._walk(head, entries)
             digest = hashlib.sha256(b"".join(entries)).digest()
         else:
-            shape = self._walk(None)
+            shape = self._walk(head, None)
         return self.header() + shape + b"|payload=" + digest
-
-    def _walk(self, entries) -> bytes:
-        """The fingerprint's one walk: the text of the tree in preorder,
-        and, when ``entries`` is a list, each payload entry appended to it
-        in key order.  The stack loop meets a node in preorder on the way
-        down, where it prints the node (and a ``.`` for each empty child),
-        and in key order on the way up.  A key's repr is taken once (an int
-        whose repr is longer than ``_REPR_MAX`` characters, or raises,
-        prints as its ``hex``, which no decimal int, str or bytes repr
-        spells), and every rank is printed inline: a zip-zip
-        rank, an exact double, as the pair its packed int holds; an
-        L-treap's as (weight, oracle), the weight's one repr printed twice,
-        so a -0.0 keeps its sign; a C-treap's as a one-float tuple.  A
-        thresholded tree's floor weight, which most of its nodes are drawn
-        at, is printed from one repr."""
-        floor = self._drawn_floor()
-        if floor is not None:
-            floor_text = repr(floor)
-        zipzip = isinstance(self, ZipZipTree)
-        ltreap = floor is None and isinstance(self, LTreap)
-        # floor gives an integral double's int, in a call a third of int()'s
-        as_int = math.floor
-        parts = ["%s;seed=%d;n=%d;" % (self.kind, self.seed, self._n)]
-        append = parts.append
-        stack = []
-        push, pop = stack.append, stack.pop
-        cur = self._root
-        while True:
-            while cur is not None:
-                try:
-                    key = repr(cur.key)
-                    if len(key) > _REPR_MAX and type(cur.key) is int:
-                        key = hex(cur.key)
-                except ValueError:  # an int past the int-to-string limit
-                    key = hex(cur.key)
-                if floor is None:
-                    text = repr(cur.weight)
-                else:
-                    w = cur.weight / 2.0  # threshold(weight, N), inline
-                    text = floor_text if w <= floor else repr(w)
-                if zipzip:  # an f-string formats faster than %
-                    rank = as_int(cur.rank)
-                    append(f"({key}:({rank >> 32}, {rank & 0xFFFFFFFF}):{text})")
-                elif ltreap:
-                    append(f"({key}:({text}, {cur.rank & MASK64}):{text})")
-                else:  # a C-treap's float rank, as the one-float tuple
-                    append(f"({key}:({cur.rank!r},):{text})")
-                push((cur, key))
-                cur = cur.left
-            append(".")
-            if not stack:
-                return "".join(parts).encode()
-            cur, key = pop()
-            if entries is not None and cur.payload is not None:
-                entries.append(b"%s=%s;" % (key.encode(), cur.payload))
-            cur = cur.right
 
     def check_invariants(self):
         _BST.check_invariants(self)
@@ -764,6 +770,7 @@ class ZipZipTree(_PrecedenceTree):
 
     kind = "zipzip"
     _stream = 0
+    _RANK_TEXT = "(r1, r2)"
 
     def _rank(self, key, weight):
         return _zz_rank_keyed(self._hasher, key, weight, self._stream)
@@ -783,6 +790,7 @@ class LTreap(_PrecedenceTree):
     """
 
     kind = "l-treap"
+    _RANK_TEXT = "(f, oracle)"
 
     def _rank(self, key, f):
         # 0 and negative estimates are valid priorities; a non-finite one
@@ -800,6 +808,7 @@ class CTreap(_PrecedenceTree):
     """Weighted treap with priority u**(1/f), compared in log space."""
 
     kind = "c-treap"
+    _RANK_TEXT = "(log u / f,)"
 
     def _rank(self, key, f):
         if not 0 < f <= _MAX_DOUBLE:
@@ -813,7 +822,9 @@ class CTreap(_PrecedenceTree):
 class AVLTree(_BST):
     """Frequency-oblivious balanced BST; the non-learned control.
 
-    A node's ``rank`` holds the height of its subtree."""
+    A node's ``rank`` holds its subtree's height, printed after ``h``."""
+
+    _RANK_TEXT = "h"
 
     def __init__(self, seed: int = 0):
         super().__init__(seed)  # seed unused; uniform constructor signature
@@ -957,20 +968,4 @@ class AVLTree(_BST):
         assert -1 <= hl - hr <= 1
 
     def fingerprint(self) -> bytes:
-        parts = [b"avl;n=%d;" % self._n]
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node is None:
-                parts.append(b".")
-                continue
-            try:
-                key = repr(node.key)
-                if len(key) > _REPR_MAX and type(node.key) is int:
-                    key = hex(node.key)
-            except ValueError:  # an int past the int-to-string limit
-                key = hex(node.key)
-            parts.append(b"(%s:h%d)" % (key.encode(), node.rank))
-            stack.append(node.right)
-            stack.append(node.left)
-        return b"".join(parts)
+        return self._walk("avl;n=%d;" % self._n, None)

@@ -9,6 +9,9 @@ weight from its definition (``threshold(weight, N)`` in a thresholded
 dict, the stored weight elsewhere), so it shares no formatting with the walk.
 Every structure must give the same bytes as the reference, a paired dict
 the reference of each side, each with its own payload digest.
+``_avl_reference`` prints an AVL tree in the same preorder as
+``(key:hH)``, with H the subtree's height counted from the nodes, not
+read from them, and no weight or payload.
 """
 
 import hashlib
@@ -251,3 +254,55 @@ def test_long_str_and_bytes_keys_print_as_their_repr(name):
         fp = d.fingerprint()
         for key in keys:
             assert b"(%s:" % repr(key).encode() in fp, key[:3]
+
+
+def _printed_key(key) -> str:
+    # an int whose decimal repr would pass 640 characters prints as hex
+    if type(key) is int and not -(10**639) < key < 10**640:
+        return hex(key)
+    return repr(key)
+
+
+def _avl_reference(tree) -> bytes:
+    def height(node):
+        return 0 if node is None else 1 + max(height(node.left), height(node.right))
+
+    parts = [b"avl;n=%d;" % len(tree.keys())]
+    stack = [tree._root]
+    while stack:
+        node = stack.pop()
+        if node is None:
+            parts.append(b".")
+            continue
+        parts.append(b"(%s:h%d)" % (_printed_key(node.key).encode(), height(node)))
+        stack.append(node.right)
+        stack.append(node.left)
+    return b"".join(parts)
+
+
+_AVL_KEYS = dict(_KEYS, huge=lambda i: (HUGE + i) * (-1) ** i,
+                 edge=lambda i: (10**639 + i - 1000) * (-1) ** i)
+
+
+@pytest.mark.parametrize("key_kind", sorted(_AVL_KEYS))
+def test_avl_fingerprint_equals_its_reference(key_kind):
+    key_of = _AVL_KEYS[key_kind]
+    rng = random.Random("avl/%s" % key_kind)
+    t = AVLTree(3)
+    assert t.fingerprint() == _avl_reference(t) == b"avl;n=0;."
+    present = []
+    for steps, p_insert in ((150, 1.0), (120, 0.3), (None, 0.0)):
+        for _ in range(steps or len(present)):
+            key = key_of(rng.randrange(2000))
+            if rng.random() < p_insert and key not in present:
+                # any payload: an AVL tree prints none
+                t.insert(key, 1.0, rng.choice(_PAYLOADS + ("str", 7)))
+                present.append(key)
+            elif present and rng.random() >= p_insert:
+                t.delete(present.pop(rng.randrange(len(present))))
+            if rng.random() < 0.2:
+                state = dict(vars(t))
+                assert t.fingerprint() == _avl_reference(t), len(t)
+                assert vars(t) == state
+        assert t.fingerprint() == _avl_reference(t)
+    assert len(t) == 0

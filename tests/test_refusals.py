@@ -3,7 +3,8 @@
 An int past Python's int-to-string limit (4,300 digits) cannot be shown by
 ``repr``; a refusal names it by type, sign and digit count.  A cutoff N
 is at most half the largest double, so its floor weight 1/(2N) is a
-double; a larger one is refused where it is set.
+double; a larger one is refused where it is set.  A precedence tree's
+payload is bytes or None, the values its fingerprint prints as given.
 """
 
 import random
@@ -15,7 +16,7 @@ import pytest
 from hidict.dynamics import CutoffSimulator, DynamicThresholdDict
 from hidict.hiverify import growth_strategy, shi_check, whi_check
 from hidict.pairing import PairedDict
-from hidict.structures import CTreap, LTreap, ZipZipTree
+from hidict.structures import AVLTree, CTreap, LTreap, ZipZipTree
 from hidict.thresholding import ThresholdedDict, threshold, threshold_array
 from hidict.workloads import adversarial_rank, inverse_power_frequencies, zipf_frequencies
 
@@ -82,6 +83,49 @@ def test_unprintable_values_in_the_other_refusals():
         t.load_sorted([(HUGE, 1.0, None), (1, 1.0, None)])
     assert str(caught.value) == "entries out of key order: 1 after " + HUGE_TEXT
     assert _state(t) == _state(ZipZipTree(7))
+
+
+_PRECEDENCE = {
+    "zipzip": lambda: ZipZipTree(7),
+    "l-treap": lambda: LTreap(7),
+    "c-treap": lambda: CTreap(7),
+    "threshold": lambda: ThresholdedDict(7, 10),
+    "dynamic-whi": lambda: DynamicThresholdDict(7, scheme="whi", scheme_seed=1),
+    "dynamic-amortized": lambda: DynamicThresholdDict(7, scheme="amortized"),
+    "paired": lambda: PairedDict(7),
+    "paired-cap": lambda: PairedDict(7, capacity=10),
+}
+
+
+@pytest.mark.parametrize("payload", ["x", 0, 1.5, bytearray(b"x"), memoryview(b"x")],
+                         ids=["str", "int", "float", "bytearray", "memoryview"])
+@pytest.mark.parametrize("name", list(_PRECEDENCE))
+def test_a_payload_that_is_not_bytes_is_refused(name, payload):
+    # a str or int payload had been stored, and then fingerprint() raised
+    # TypeError; a bytearray printed, and changed the fingerprint when
+    # mutated later
+    d = _filled(_PRECEDENCE[name])
+
+    def state():
+        # a dynamic dict's scheme RNG draws nothing for a refused insert
+        return _state(d), d.keys(), d.rng.getstate() if hasattr(d, "rng") else None
+
+    message = "payload must be bytes or None, got " + type(payload).__name__
+    before = state()
+    for key in (4, 2):  # an absent key and a present one
+        with pytest.raises(TypeError) as caught:
+            d.insert(key, 0.25, payload)
+        assert str(caught.value) == message
+        assert state() == before
+    if name in ("zipzip", "l-treap", "c-treap"):
+        t = _PRECEDENCE[name]()
+        with pytest.raises(TypeError) as caught:
+            t.load_sorted([(1, 0.25, b"a"), (2, 0.25, payload)])
+        assert str(caught.value) == message
+        assert _state(t) == _state(_PRECEDENCE[name]()) and t.keys() == []
+    d.insert(4, 0.25, b"x")  # bytes and None are taken
+    d.insert(5, 0.25)
+    assert d.search(4).payload == b"x" and d.search(5).payload is None
 
 
 # the largest cutoff: half the largest double, an int
@@ -163,6 +207,11 @@ def _whi_factory(s):
 
 def test_unprintable_values_in_the_checks_and_the_workloads():
     cases = [
+        # an empty universe had compared one empty tree with another, and
+        # passed even the AVL control
+        (lambda: shi_check(AVLTree, 0, 0), "shi_check needs universe_size >= 1, got 0"),
+        (lambda: shi_check(lambda: ZipZipTree(1), -HUGE, 5),
+         "shi_check needs universe_size >= 1, got " + NEG_TEXT),
         (lambda: shi_check(lambda: ZipZipTree(1), 8, -HUGE),
          "shi_check needs trials >= 1 above a universe of 6, got " + NEG_TEXT),
         (lambda: whi_check(_whi_factory, 4, -HUGE, [growth_strategy(4)] * 2),
