@@ -10,11 +10,15 @@ independent under dynamic updates without any rebuild schedule.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from math import floor, log2
 from typing import Optional
 
+import numpy as np
+
 from .core import show_value
-from .structures import SearchResult, ZipZipTree, _BST, _PrecedenceTree
+from .structures import (SearchResult, ZipZipTree, _BST, _PrecedenceTree, _SPINE_BISECT,
+                         _blank)
 from .thresholding import ThresholdedDict
 
 # gamma presets from the zip-zip height / expected-depth constants
@@ -33,22 +37,27 @@ class PairedDict(ZipZipTree):
     ``len``) are the tree's own; ``in`` runs the paired ``search``.
     ``learned`` holds the same keys: a threshold-wrapped biased zip-zip
     tree with ``capacity`` set, else a biased zip-zip tree weighted by the
-    raw frequency estimates.  The fallback's own steps call the engine by
-    class (``_PrecedenceTree.insert(self, ...)``); the other inherited
-    methods, ``search_budgeted`` among them, see the fallback side only.
-    ``check_invariants`` checks both sides and that they hold the same keys.
+    raw frequency estimates.  ``search`` walks both sides in its own
+    frame.  The fallback's own steps call the engine by class
+    (``_PrecedenceTree.insert(self, ...)``); the other inherited methods,
+    ``search_budgeted`` among them, see the fallback side only.  No
+    library path calls ``search_budgeted``: the tests hold the paired
+    search to it, and perfbench's hooks name it.  ``check_invariants``
+    checks both sides and that they hold the same keys.
     """
 
     kind = "zipzip+8"
     _stream = 8
 
     def __init__(self, seed: int, gamma: float = 1.0, capacity: Optional[int] = None):
-        # the comparisons also reject nan
-        if not 0 < gamma <= _GAMMA_MAX:
+        # the comparisons also reject nan; a bool is no gamma, as it is no cutoff
+        if isinstance(gamma, (bool, np.bool_)) or not 0 < gamma <= _GAMMA_MAX:
             raise ValueError("gamma must be positive and at most max double / 64, got %s"
                              % show_value(gamma))
         super().__init__(seed)
-        self.gamma = gamma
+        # the fingerprint prints the double, not the type that spelled it;
+        # gamma * log2(n) multiplies as a double, so no budget moves
+        self.gamma = float(gamma)
         self.capacity = capacity
         if capacity is not None:
             self.learned = ThresholdedDict(seed, capacity)
@@ -89,20 +98,51 @@ class PairedDict(ZipZipTree):
         return budget if budget > 1 else 1
 
     def search(self, key) -> SearchResult:
-        # an empty pair ends here too: the learned descent concludes at
-        # once with 0 comparisons
+        """The learned side's root walk for up to ``search_budget()``
+        comparisons, then, if the budget runs out first, the fallback's,
+        counting on from the budget.  Each walk bisects a long spine as
+        ``_BST.search`` does.  The one reply equals ``search_budgeted`` on
+        the learned side, then ``_BST.search`` on the fallback."""
         budget = self.search_budget()
-        res, exhausted = self.learned.search_budgeted(key, budget)
-        if res.found:
+        res = _blank(SearchResult)
+        learned = self.learned
+        keys = learned._spine_keys
+        if len(keys) > _SPINE_BISECT:
+            comps = bisect_left(keys, key)
+            if comps > budget:  # the root walk spends the budget on the first spine nodes
+                comps, cur = budget, learned._spine[budget]
+            else:
+                cur = learned._spine[comps] if comps < len(keys) else None
+        else:
+            comps, cur = 0, learned._root
+        # an empty pair ends here too, with 0 comparisons
+        while cur is not None and comps < budget:
+            comps += 1
+            if key == cur.key:
+                res.found, res.comparisons, res.payload = True, comps, cur.payload
+                return res
+            cur = cur.left if key < cur.key else cur.right
+        if cur is None:
+            # the walk ended within the budget: the tandem invariant makes
+            # the key absent from the fallback too
+            res.found, res.comparisons, res.payload = False, comps, None
             return res
-        if not exhausted:
-            # descent concluded (key absent) within budget; the tandem
-            # invariant makes the fallback search redundant
-            return res
-        # the fallback's own reply, charged the learned side's comparisons
-        fb = _PrecedenceTree.search(self, key)
-        fb.comparisons += res.comparisons
-        return fb
+        # the budget ran out: the fallback's walk counts on from it
+        keys = self._spine_keys
+        if len(keys) > _SPINE_BISECT:
+            i = bisect_left(keys, key)
+            comps += i
+            cur = self._spine[i] if i < len(keys) else None
+        else:
+            cur = self._root
+        while cur is not None:
+            comps += 1
+            if key == cur.key:
+                res.found, res.comparisons, res.payload = True, comps, cur.payload
+                return res
+            cur = cur.left if key < cur.key else cur.right
+        res.found, res.comparisons, res.payload = False, comps, None
+        return res
 
     def search_costs(self) -> dict:
         """``{key: search(key).comparisons}`` for every held key: its

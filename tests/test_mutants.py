@@ -28,6 +28,7 @@ import pytest
 
 import hidict.dynamics
 import hidict.structures
+from hidict.pairing import PairedDict
 from hidict.structures import LTreap, ZipZipTree, _BST, _PrecedenceTree
 
 
@@ -75,6 +76,18 @@ class Mutant(NamedTuple):
     killers: tuple
 
 
+_LONG_SPINE = Killer("test_spine", "test_paired_search_on_a_long_learned_spine",
+                     {"bisect_past": 64})
+_PAIRED_KILLERS = (
+    _LONG_SPINE,
+    Killer("test_spine", "test_paired_search_equals_its_two_root_walks", {}),
+    Killer("test_pairing", "test_search_tally_matches_tentative_then_fallback", {}),
+    Killer("test_search_costs", "test_paired_search_costs_apply_the_budget",
+           {"capacity": None, "gamma": 0.5}),
+    Killer("test_search_costs", "test_paired_search_costs_apply_the_budget",
+           {"capacity": 400, "gamma": 0.5}),
+)
+
 MUTANTS = {
     # a rejected insert whose key lies on its unzip path leaves the two
     # halves apart, and the keys of one half unreachable (an L-treap path
@@ -103,6 +116,24 @@ MUTANTS = {
                       "if len(keys) >= _SPINE_BISECT:"), "check",
         (Killer("test_spine", "test_right_paths_bisect_once_per_read_past_64_keys",
                 {"n": 64}),)),
+    # a paired search's learned walk spends one comparison past its budget
+    "paired-learned-walk-past-budget": Mutant(
+        replace_token(PairedDict.search, "comps < budget", "comps <= budget"), "check",
+        _PAIRED_KILLERS),
+    # a bisection that reaches the budget exactly, past the spine's end,
+    # counts as exhausted: spine node ``budget`` does not exist
+    "paired-spine-exhausted-at-budget": Mutant(
+        replace_token(PairedDict.search, "if comps > budget:", "if comps >= budget:"),
+        "check", (_LONG_SPINE,)),
+    # the fallback's walk from its root counts from 0, not from the budget
+    "paired-fallback-uncharged": Mutant(
+        replace_token(PairedDict.search, "cur = self._root", "comps, cur = 0, self._root"),
+        "check", _PAIRED_KILLERS),
+    # the fallback's walk from its spine counts from 0, not from the budget
+    "paired-fallback-spine-uncharged": Mutant(
+        replace_token(PairedDict.search, "comps += i", "comps = i"), "check",
+        (Killer("test_spine", "test_paired_search_on_a_long_learned_spine",
+                {"bisect_past": 0}),)),
     # the WHI delete rule's rebuild probability 1/(n+1) for 1/n: no HI
     # check sees it (ROADMAP item 3), only the rule's own test and the
     # verify whi stdout pin

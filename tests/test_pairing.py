@@ -1,6 +1,8 @@
 import math
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hidict.core import ComparisonTally, DuplicateKeyError, MissingKeyError
@@ -160,6 +162,25 @@ def test_gamma_validation_and_presets():
             PairedDict(0, gamma=bad)
     assert PairedDict(0, gamma=GAMMA_HEIGHT).gamma == 3.82
     assert PairedDict(0, gamma=GAMMA_EXPECTED_DEPTH).gamma == 1.3863
+
+
+@pytest.mark.parametrize("capacity", [None, 8])
+def test_gamma_spellings_fingerprint_alike(capacity):
+    # a gamma is stored as the double it equals, whatever type spelled it
+    prints = set()
+    for gamma in (1.0, 1, np.float64(1.0), np.int64(1), Fraction(1)):
+        d = build(3, [(k, 1.0 / 8) for k in range(1, 6)], gamma=gamma, capacity=capacity)
+        assert type(d.gamma) is float and d.search_budget() == 2
+        prints.add(d.fingerprint())
+    assert len(prints) == 1
+    assert b"paired;gamma=1.0;" in prints.pop()
+
+
+def test_bool_gamma_rejected():
+    # as a bool cutoff is
+    for bad in (True, np.True_):
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            PairedDict(0, gamma=bad)
 
 
 def test_capacity_mode_thresholds_learned_side():

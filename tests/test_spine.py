@@ -9,13 +9,19 @@ out in the test: for every held key, every gap between keys and keys below
 and above all of them, the replies and the comparison counts of
 ``search``, ``search_budgeted`` (every budget from 1 to depth + 1),
 ``predecessor``, ``range_query`` with a tally and ``in`` must match it.
+A paired search must match both its two root walks, the learned side's
+to the budget and then the fallback's, and ``search_budgeted`` on the
+learned side followed by ``_BST.search`` on the fallback.
 Which reads bisect is pinned by counting the calls of ``bisect_left``.
 """
 
+import math
 import random
+from bisect import bisect_left
 
 import pytest
 
+import hidict.pairing
 import hidict.structures
 import hidict.workloads as hw
 from hidict.bench import make_structure
@@ -202,17 +208,80 @@ def test_reads_after_seeded_histories(name):
         _assert_reads_equal_root_walk(side, _int_probes(side))
 
 
-def test_paired_search_equals_its_two_root_walks():
+def _two_root_walks(d, key, budget):
     # the learned side within the budget, then the fallback from its root
-    d = _history(PairedDict(6, gamma=0.5), "paired-search", 300, _f)
+    (found, comps, payload), exhausted = _budgeted(_search(d.learned, key), budget)
+    if exhausted:
+        found, extra, payload = _search(d, key)
+        comps += extra
+    return found, comps, payload
+
+
+def _composed(d, key, budget):
+    # the learned side's ``search_budgeted``, then the fallback's
+    # ``_BST.search``, charged the learned side's comparisons
+    res, exhausted = d.learned.search_budgeted(key, budget)
+    if res.found or not exhausted:
+        return res.found, res.comparisons, res.payload
+    fallback = _BST.search(d, key)
+    return fallback.found, res.comparisons + fallback.comparisons, fallback.payload
+
+
+def _assert_paired_searches(d, probes):
     budget = d.search_budget()
-    for key in _int_probes(d):
-        (found, comps, payload), exhausted = _budgeted(_search(d.learned, key), budget)
-        if exhausted:
-            found, extra, payload = _search(d, key)
-            comps += extra
+    for key in probes:
         res = d.search(key)
-        assert (res.found, res.comparisons, res.payload) == (found, comps, payload), key
+        got = (res.found, res.comparisons, res.payload)
+        assert got == _two_root_walks(d, key, budget) == _composed(d, key, budget), key
+
+
+def test_paired_search_equals_its_two_root_walks():
+    d = _history(PairedDict(6, gamma=0.5), "paired-search", 300, _f)
+    _assert_paired_searches(d, _int_probes(d))
+
+
+def _learned_spine_pair(budget, bisect_past, monkeypatch):
+    """An uncapped pair of keys 3k, k = 1..200, at f = 2**-k: the learned
+    side's spine runs long.  Its gamma makes ``budget`` the search budget;
+    its searches bisect a spine longer than ``bisect_past``."""
+    monkeypatch.setattr(hidict.pairing, "_SPINE_BISECT", bisect_past)
+    d = PairedDict(6, gamma=(budget + 0.5) / math.log2(200))
+    for k in range(1, 201):
+        d.insert(3 * k, 2.0 ** -k, b"v%d" % k)
+    assert d.search_budget() == budget
+    return d
+
+
+# 64 is the library's bound; past 0, both sides' walks start on the spine
+@pytest.mark.parametrize("bisect_past", [64, 0])
+def test_paired_search_on_a_long_learned_spine(monkeypatch, bisect_past):
+    d = _learned_spine_pair(1, bisect_past, monkeypatch)
+    spine = len(d.learned._spine_keys)
+    assert spine > 64
+    depth = _depth(d.learned)
+    probes = _int_probes(d)
+    # the spine nodes each probe's learned walk turns right at; the learned
+    # side does not depend on gamma
+    turns = [bisect_left(d.learned._spine_keys, key) for key in probes]
+    for budget in (1, 2, 7, spine // 2, spine - 1, spine, spine + 1, depth, depth + 1):
+        d = _learned_spine_pair(budget, bisect_past, monkeypatch)
+        # probes turn at fewer spine nodes than the budget, at as many, and
+        # at more, as far as the spine reaches
+        sides = {(t > budget) - (t < budget) for t in turns}
+        assert sides == ({-1, 0, 1} if budget < spine else {-1, 0} if budget == spine else {-1})
+        _assert_paired_searches(d, probes)
+
+
+@pytest.mark.parametrize("bisect_past", [64, 0])
+@pytest.mark.parametrize("capacity", [None, 8])
+@pytest.mark.parametrize("held", [(), (3,)])
+def test_paired_search_on_empty_and_one_key_pairs(monkeypatch, held, capacity, bisect_past):
+    monkeypatch.setattr(hidict.pairing, "_SPINE_BISECT", bisect_past)
+    for gamma in (0.5, 1.0, 3.82):
+        d = PairedDict(6, gamma=gamma, capacity=capacity)
+        for key in held:
+            d.insert(key, 0.5, b"one")
+        _assert_paired_searches(d, [-1, 0, 3, 4, 10 ** 9])
 
 
 def test_avl_reads_from_the_root():
@@ -285,14 +354,15 @@ def test_right_paths_on_both_sides_of_the_bisection_bound(n):
 
 
 def _counting_bisect(monkeypatch):
+    # the paired search bisects with its module's own binding
     calls = []
-    bisect_left = hidict.structures.bisect_left
 
     def counting(keys, key):
         calls.append(key)
         return bisect_left(keys, key)
 
     monkeypatch.setattr(hidict.structures, "bisect_left", counting)
+    monkeypatch.setattr(hidict.pairing, "bisect_left", counting)
     return calls
 
 

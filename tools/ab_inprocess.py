@@ -6,17 +6,20 @@ Each checkout's ``src/hidict`` is copied into a temporary directory under a
 package name of its own (``hidict_parent``, ``hidict_change``) and both are
 imported here, so the two sides share one interpreter, one heap and one
 host state.  Both sides build the same structures from the same inputs; if
-any pair gives different fingerprints, the script prints the task and exits
-1 before it times anything.
+any pair gives different fingerprints, or different search replies, the
+script prints the tasks and exits 1 before it times anything.
 
 The tasks are ``fingerprint()`` of a 100,000-key thresholded dict, capped
-paired dict and AVL tree, and 20,000 churn operations (a delete of a held
-key, then an insert of an absent one) at 5,000 keys on a zip-zip tree, a
-WHI dynamic dict and an uncapped paired dict, each churn on a fresh build.
-Each round runs every task on both sides in a shuffled order, with the
-garbage collector off while a task is timed.  The table gives each side's
-median and minimum over the rounds and the change/parent ratio of each.
-The standard library and numpy are all it needs.
+paired dict and AVL tree; 20,000 searches of held and absent keys, drawn
+by a Zipf(1) law over the probes in order of predicted frequency, on that
+capped paired dict and on a 5,000-key uncapped one; and 20,000 churn
+operations (a delete of a held key, then an insert of an absent one) at
+5,000 keys on a zip-zip tree, a WHI dynamic dict and an uncapped paired
+dict, each churn on a fresh build.  Each round runs every task on both
+sides in a shuffled order, with the garbage collector off while a task
+is timed.  The table gives each side's median and minimum over the
+rounds and the change/parent ratio of each.  The standard library and
+numpy are all it needs.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ SIDES = ("parent", "change")
 BIG = 100_000  # keys of the fingerprinted structures
 LIVE = 5_000  # keys held through a churn
 CHURN = 20_000  # operations per churn, half deletes and half inserts
+READS = 20_000  # searches per read task
 SEED = 3101
 
 
@@ -63,22 +67,60 @@ def inputs(rng: np.random.Generator, n: int):
             for k, w, p in zip(keys, rng.permutation(f), payloads)]
 
 
-def fingerprint_tasks(pkgs: dict, rng: np.random.Generator) -> dict:
-    """Task name to {side: call}: each call fingerprints a prebuilt structure."""
+def filled(d, items):
+    for key, f, payload in items:
+        d.insert(key, f, payload)
+    return d
+
+
+def fingerprint_tasks(pkgs: dict, rng: np.random.Generator) -> tuple:
+    """Task name to {side: call}, each call fingerprinting a prebuilt
+    structure; then the items they hold, and {side: capped paired dict}."""
     items = inputs(rng, BIG)
     makers = {
         "fingerprint threshold": lambda h: h.ThresholdedDict(SEED, BIG),
         "fingerprint paired-cap": lambda h: h.PairedDict(SEED, capacity=BIG),
         "fingerprint avl": lambda h: h.AVLTree(SEED),
     }
-    tasks = {}
+    tasks, built = {}, {}
     for name, make in makers.items():
-        tasks[name] = {}
-        for side, h in pkgs.items():
-            d = make(h)
-            for key, f, payload in items:
-                d.insert(key, f, payload)
-            tasks[name][side] = d.fingerprint
+        built[name] = {side: filled(make(h), items) for side, h in pkgs.items()}
+        tasks[name] = {side: d.fingerprint for side, d in built[name].items()}
+    return tasks, items, built["fingerprint paired-cap"]
+
+
+def queries(rng: np.random.Generator, items: list) -> list:
+    """READS keys, drawn by a Zipf(1) law over the probes: the held keys in
+    order of falling frequency, each followed by a key none holds."""
+    held = {key for key, _, _ in items}
+    absent = iter(k for k in range(10 * len(items) + 1) if k not in held)
+    probes = []
+    for key, _, _ in sorted(items, key=lambda item: -item[1]):
+        probes += [key, next(absent)]
+    p = 1.0 / np.arange(1, len(probes) + 1)
+    return [probes[i] for i in rng.choice(len(probes), size=READS, p=p / p.sum())]
+
+
+def read_tasks(pkgs: dict, rng: np.random.Generator, items: list, capped: dict) -> dict:
+    """Task name to {side: call}: each call runs READS searches on a
+    prebuilt paired dict, ``capped`` holding ``items`` or an uncapped one
+    of LIVE keys, and returns the replies."""
+    small = inputs(rng, LIVE)
+    pairs = {
+        "search paired-cap": (items, capped),
+        "search paired": (small, {side: filled(h.PairedDict(SEED), small)
+                                  for side, h in pkgs.items()}),
+    }
+
+    def bind(search, keys):
+        def run():
+            return [search(key) for key in keys]
+        return run
+
+    tasks = {}
+    for name, (held, sides) in pairs.items():
+        keys = queries(rng, held)
+        tasks[name] = {side: bind(d.search, keys) for side, d in sides.items()}
     return tasks
 
 
@@ -105,10 +147,8 @@ def churn_tasks(pkgs: dict, rng: np.random.Generator) -> dict:
 
     def bind(make, weighted, h):
         def build():
-            d = make(h)
-            for key, f, payload in start:
-                d.insert(key, f if weighted else 1.0, payload)
-            return d
+            return filled(make(h), [(key, f if weighted else 1.0, payload)
+                                    for key, f, payload in start])
 
         def run(d):
             insert, delete = d.insert, d.delete
@@ -119,6 +159,18 @@ def churn_tasks(pkgs: dict, rng: np.random.Generator) -> dict:
 
     return {name: {side: bind(make, weighted, h) for side, h in pkgs.items()}
             for name, (make, weighted) in makers.items()}
+
+
+def replies(reply) -> tuple:
+    # each side has its own SearchResult class, whose instances compare
+    # unequal to the other's
+    return reply.found, reply.comparisons, reply.payload
+
+
+def differing_replies(reads: dict) -> list:
+    """The read tasks whose two sides give different search replies."""
+    return [name for name, calls in reads.items()
+            if list(map(replies, calls["parent"]())) != list(map(replies, calls["change"]()))]
 
 
 def differing(fps: dict, churns: dict) -> list:
@@ -167,21 +219,28 @@ def main(argv=None) -> int:
 
 def compare(pkgs: dict, rounds: int) -> int:
     rng = np.random.default_rng(SEED)
-    fps = fingerprint_tasks(pkgs, rng)
+    fps, items, capped = fingerprint_tasks(pkgs, rng)
     churns = churn_tasks(pkgs, rng)
+    reads = read_tasks(pkgs, rng, items, capped)
     bad = differing(fps, churns)
     if bad:
         print("fingerprints differ between the two sides: %s" % ", ".join(bad))
+    bad_reads = differing_replies(reads)
+    if bad_reads:
+        print("search replies differ between the two sides: %s" % ", ".join(bad_reads))
+    if bad or bad_reads:
         return 1
 
-    times = {(name, side): [] for name in list(fps) + list(churns) for side in SIDES}
+    calls = {**fps, **reads}
+    names = list(fps) + list(reads) + list(churns)
+    times = {(name, side): [] for name in names for side in SIDES}
     shuffle = random.Random(SEED)
     for r in range(rounds):
         runs = list(times)
         shuffle.shuffle(runs)
         for name, side in runs:
-            if name in fps:
-                times[name, side].append(timed(fps[name][side]))
+            if name in calls:
+                times[name, side].append(timed(calls[name][side]))
             else:
                 build, run = churns[name][side]
                 times[name, side].append(timed(run, build()))
@@ -190,7 +249,7 @@ def compare(pkgs: dict, rounds: int) -> int:
     print("%d rounds; times in ms" % rounds)
     print("%-24s %10s %10s %10s %10s %8s %8s" % ("task", "parent med", "change med",
                                               "parent min", "change min", "med", "min"))
-    for name in list(fps) + list(churns):
+    for name in names:
         old, new = times[name, "parent"], times[name, "change"]
         m_old, m_new = statistics.median(old), statistics.median(new)
         print("%-24s %10.2f %10.2f %10.2f %10.2f %8.3f %8.3f"
