@@ -1,24 +1,23 @@
 """Paired dictionary: a learned structure and a non-learned fallback in tandem.
 
-Searches try the learned side for a floor(gamma * log2 n) comparison budget
-and fall back to the uniform tree, so retrieval is O(min(log 1/f, log n))
-regardless of prediction quality.  Neither substructure stores anything that
-depends on the operation history, so the pair stays strongly history
-independent under dynamic updates without any rebuild schedule.
+A search walks the learned side from its root for a floor(gamma * log2 n)
+comparison budget and then the uniform tree from its root, so retrieval is
+O(min(log 1/f, log n)) regardless of prediction quality.  Neither
+substructure stores anything that depends on the operation history, so the
+pair stays strongly history independent under dynamic updates without any
+rebuild schedule.
 """
 
 from __future__ import annotations
 
 import sys
-from bisect import bisect_left
 from math import floor, log2
 from typing import Optional
 
 import numpy as np
 
 from .core import show_value
-from .structures import (SearchResult, ZipZipTree, _BST, _PrecedenceTree, _SPINE_BISECT,
-                         _blank)
+from .structures import SearchResult, ZipZipTree, _BST, _PrecedenceTree, _blank
 from .thresholding import ThresholdedDict
 
 # gamma presets from the zip-zip height / expected-depth constants
@@ -37,11 +36,11 @@ class PairedDict(ZipZipTree):
     ``len``) are the tree's own; ``in`` runs the paired ``search``.
     ``learned`` holds the same keys: a threshold-wrapped biased zip-zip
     tree with ``capacity`` set, else a biased zip-zip tree weighted by the
-    raw frequency estimates.  ``search`` walks both sides in its own
-    frame.  The fallback's own steps call the engine by class
-    (``_PrecedenceTree.insert(self, ...)``); the other inherited methods,
-    ``search_budgeted`` among them, see the fallback side only.  No
-    library path calls ``search_budgeted``: the tests hold the paired
+    raw frequency estimates.  ``search`` walks both sides from their
+    roots in its own frame.  The fallback's own steps call the engine by
+    class (``_PrecedenceTree.insert(self, ...)``); the other inherited
+    methods, ``search_budgeted`` among them, see the fallback side only.
+    No library path calls ``search_budgeted``: the tests hold the paired
     search to it, and perfbench's hooks name it.  ``check_invariants``
     checks both sides and that they hold the same keys.
     """
@@ -99,22 +98,14 @@ class PairedDict(ZipZipTree):
 
     def search(self, key) -> SearchResult:
         """The learned side's root walk for up to ``search_budget()``
-        comparisons, then, if the budget runs out first, the fallback's,
-        counting on from the budget.  Each walk bisects a long spine as
-        ``_BST.search`` does.  The one reply equals ``search_budgeted`` on
-        the learned side, then ``_BST.search`` on the fallback."""
+        comparisons, then, if the budget runs out first, the fallback's
+        root walk, counting on from the budget: each side's time grows with
+        the comparisons it reports.  The one reply equals
+        ``search_budgeted`` on the learned side, then ``_BST.search`` on
+        the fallback."""
         budget = self.search_budget()
         res = _blank(SearchResult)
-        learned = self.learned
-        keys = learned._spine_keys
-        if len(keys) > _SPINE_BISECT:
-            comps = bisect_left(keys, key)
-            if comps > budget:  # the root walk spends the budget on the first spine nodes
-                comps, cur = budget, learned._spine[budget]
-            else:
-                cur = learned._spine[comps] if comps < len(keys) else None
-        else:
-            comps, cur = 0, learned._root
+        comps, cur = 0, self.learned._root
         # an empty pair ends here too, with 0 comparisons
         while cur is not None and comps < budget:
             comps += 1
@@ -122,18 +113,9 @@ class PairedDict(ZipZipTree):
                 res.found, res.comparisons, res.payload = True, comps, cur.payload
                 return res
             cur = cur.left if key < cur.key else cur.right
-        if cur is None:
-            # the walk ended within the budget: the tandem invariant makes
-            # the key absent from the fallback too
-            res.found, res.comparisons, res.payload = False, comps, None
-            return res
-        # the budget ran out: the fallback's walk counts on from it
-        keys = self._spine_keys
-        if len(keys) > _SPINE_BISECT:
-            i = bisect_left(keys, key)
-            comps += i
-            cur = self._spine[i] if i < len(keys) else None
-        else:
+        # a walk that ended within the budget ends the search: the tandem
+        # invariant makes the key absent from the fallback too
+        if cur is not None:  # the budget ran out
             cur = self._root
         while cur is not None:
             comps += 1

@@ -13,11 +13,12 @@ in O(n) by the Cartesian-tree stack construction (bulk loads and rebuilds).
 Each precedence tree keeps its right spine, the path from the root to the
 largest key, as a list of nodes and a list of their keys.  A root descent
 turns right at exactly the spine nodes with smaller keys, so a write, and a
-read on a spine of more than ``_SPINE_BISECT`` nodes, bisects the spine's
-keys in C and starts at the first spine node it would not pass, counting
-the nodes it skipped; a read on a shorter spine, a balanced tree's, starts
-at the root.  A key appended above the largest that the largest outranks
-attaches in O(1), with no descent.
+``search``, ``predecessor`` or ``range_query`` on a spine of more than
+``_SPINE_BISECT`` nodes, bisects the spine's keys in C and starts at the
+first spine node it would not pass, counting the nodes it skipped.  A read
+on a shorter spine, a balanced tree's, starts at the root, and so does every
+``search_budgeted``.  A key appended above the largest that the largest
+outranks attaches in O(1), with no descent.
 """
 
 from __future__ import annotations
@@ -202,13 +203,14 @@ def _wins(rank_a, key_a, rank_b, key_b):
     return key_a < key_b
 
 
-# A read bisects the right spine only when it is longer than this.  A
-# randomized tree's spine holds about H_n nodes (Seidel and Aragon, 1996),
-# 2-17 on paper-check's 2,000-key trees, and a search skips about one of
-# them: there the root descent passes them as fast as a bisection would
-# skip them, and the bisection is pure fixed cost.  A path-shaped tree's
-# spine holds thousands.  One constant, not a bound read per tree: a bound
-# of ``_n.bit_length()`` cost about half the gain on hot reads.
+# ``search``, ``predecessor`` and ``range_query`` bisect the right spine
+# only when it is longer than this.  A randomized tree's spine holds about
+# H_n nodes (Seidel and Aragon, 1996), 2-17 on paper-check's 2,000-key
+# trees, and a search skips about one of them: there the root descent
+# passes them as fast as a bisection would skip them, and the bisection is
+# pure fixed cost.  A path-shaped tree's spine holds thousands.  One
+# constant, not a bound read per tree: a bound of ``_n.bit_length()`` cost
+# about half the gain on hot reads.
 _SPINE_BISECT = 64
 
 
@@ -218,12 +220,13 @@ class _BST:
     Subclasses own the shape (a node's ``rank``, printed as ``_RANK_TEXT``
     says) and the update path; the read path uses only ``key``, ``payload``,
     ``left`` and ``right``, and the lists ``_spine`` and ``_spine_keys``.
-    On a spine of more than ``_SPINE_BISECT`` nodes, a descent starts at
-    ``_spine[i]``, where ``i = bisect_left(_spine_keys, key)`` is the
-    number of spine nodes the root descent turns right at, and counts
-    them; past the spine's end it ends.  On a shorter spine, and on the
-    empty one an AVL tree keeps, it starts at the root, whose descent
-    passes and counts the same nodes, so the replies are the same.
+    On a spine of more than ``_SPINE_BISECT`` nodes, ``search``,
+    ``predecessor`` and ``range_query`` start at ``_spine[i]``, where
+    ``i = bisect_left(_spine_keys, key)`` is the number of spine nodes the
+    root descent turns right at, and count them; past the spine's end they
+    end.  On a shorter spine, and on the empty one an AVL tree keeps, they
+    start at the root, whose descent passes and counts the same nodes, so
+    the replies are the same.  ``search_budgeted`` starts at the root.
     """
 
     def __init__(self, seed: int):
@@ -282,16 +285,10 @@ class _BST:
         """Search spending at most ``budget`` comparisons.
 
         Returns (result, exhausted).  exhausted=True means the budget ran
-        out before the descent reached a conclusion.
+        out before the descent reached a conclusion.  The descent starts at
+        the root on any spine: the budget bounds it.
         """
-        keys = self._spine_keys
-        if len(keys) > _SPINE_BISECT:
-            comps = bisect_left(keys, key)
-            if comps > budget:  # the budget ran out on the spine
-                return SearchResult(False, budget), True
-            cur = self._spine[comps] if comps < len(keys) else None
-        else:
-            comps, cur = 0, self._root
+        comps, cur = 0, self._root
         while cur is not None:
             if comps >= budget:
                 return SearchResult(False, comps), True
@@ -472,17 +469,18 @@ class _PrecedenceTree(_BST):
     ``_spine`` lists the nodes from the root along right children down to
     the largest key, and ``_spine_keys`` their keys, in increasing order;
     both are empty in an empty tree.  A root descent turns right at
-    exactly the spine nodes with keys below its key, so writes, and reads
-    on a spine longer than ``_SPINE_BISECT``, bisect ``_spine_keys`` and
-    start at the first spine node they would not pass: a finger search
-    from the end of the key order (Guibas, McCreight, Plass and Roberts,
-    STOC 1977; Seidel and Aragon, 1996).  A
-    key above the largest whose rank the largest node outranks becomes its
-    right child with no descent.  The spine is a function of the shape,
-    and so of the contents alone; every tree sets both lists in
-    ``__init__``, so a fresh tree and an emptied one hold the same
-    attributes.  A list's spare capacity, which its appends leave, is
-    physical layout, like the nodes' addresses (ROADMAP item 11).
+    exactly the spine nodes with keys below its key, so writes, and
+    ``search``, ``predecessor`` and ``range_query`` on a spine longer than
+    ``_SPINE_BISECT``, bisect ``_spine_keys`` and start at the first spine
+    node they would not pass: a finger search from the end of the key
+    order (Guibas, McCreight, Plass and Roberts, STOC 1977; Seidel and
+    Aragon, 1996).  A key above the largest whose rank the largest node
+    outranks becomes its right child with no descent.  The spine is a
+    function of the shape, and so of the contents alone; every tree sets
+    both lists in ``__init__``, so a fresh tree and an emptied one hold
+    the same attributes.  A list's spare capacity, which its appends
+    leave, is physical layout, like the nodes' addresses (ROADMAP item
+    11).
     """
 
     def __init__(self, seed: int):
@@ -783,9 +781,10 @@ class LTreap(_PrecedenceTree):
     (key, f) set under any insertion order, so an f monotone in the key
     makes a path; that is inherent to the priority rule and deliberately
     not papered over: a search of key k reports k comparisons.  With f
-    falling the path is a right path, all spine, so writes, and reads once
-    it is longer than ``_SPINE_BISECT``, bisect to key k in O(log n) time
-    and ascending appends cost O(1);
+    falling the path is a right path, all spine, so writes, and
+    ``search``, ``predecessor`` and ``range_query`` once it is longer than
+    ``_SPINE_BISECT``, bisect to key k in O(log n) time and ascending
+    appends cost O(1);
     with f rising it is a left path, and key k still takes k levels.
     """
 
@@ -865,7 +864,10 @@ class AVLTree(_BST):
         return y
 
     def insert(self, key, weight: float = 1.0, payload: Optional[bytes] = None):
-        # weight accepted for interface uniformity and ignored
+        # weight accepted for interface uniformity and ignored; the key
+        # types are those of the precedence trees (nan would break the order)
+        if type(key) not in KEY_TYPES:
+            raise key_type_error(key)
         # one comparison per level: a present key is the last right turn
         path = []
         right = None
@@ -890,6 +892,8 @@ class AVLTree(_BST):
         self._retrace(path)
 
     def delete(self, key):
+        if type(key) not in KEY_TYPES:
+            raise key_type_error(key)
         # the descent stops at the key, where the successor walk starts
         path = []
         cur = self._root

@@ -29,7 +29,8 @@ def test_two_copies_of_one_checkout_are_timed(tool, capsys):
     out = capsys.readouterr().out
     assert out.startswith("2 rounds; times in ms\n")
     for task in ("fingerprint threshold", "fingerprint paired-cap", "fingerprint avl",
-                 "search paired-cap", "search paired",
+                 "search paired-cap", "search paired", "search paper-check",
+                 "search long-spine",
                  "churn zipzip", "churn dynamic-whi", "churn paired"):
         assert "\n" + task + " " in out
 
@@ -62,4 +63,5 @@ def test_different_search_replies_exit_before_timing(tool, tmp_path, capsys):
                         "return (budget if budget > 1 else 1) + 1")
     assert tool.main([ROOT, copy, "--rounds", "1"]) == 1
     assert capsys.readouterr().out == (
-        "search replies differ between the two sides: search paired-cap, search paired\n")
+        "search replies differ between the two sides: search paired-cap, search paired, "
+        "search paper-check, search long-spine\n")

@@ -120,20 +120,22 @@ MUTANTS = {
     "paired-learned-walk-past-budget": Mutant(
         replace_token(PairedDict.search, "comps < budget", "comps <= budget"), "check",
         _PAIRED_KILLERS),
-    # a bisection that reaches the budget exactly, past the spine's end,
-    # counts as exhausted: spine node ``budget`` does not exist
-    "paired-spine-exhausted-at-budget": Mutant(
-        replace_token(PairedDict.search, "if comps > budget:", "if comps >= budget:"),
-        "check", (_LONG_SPINE,)),
-    # the fallback's walk from its root counts from 0, not from the budget
+    # the fallback's walk counts from 0, not from the budget
     "paired-fallback-uncharged": Mutant(
         replace_token(PairedDict.search, "cur = self._root", "comps, cur = 0, self._root"),
         "check", _PAIRED_KILLERS),
-    # the fallback's walk from its spine counts from 0, not from the budget
-    "paired-fallback-spine-uncharged": Mutant(
-        replace_token(PairedDict.search, "comps += i", "comps = i"), "check",
-        (Killer("test_spine", "test_paired_search_on_a_long_learned_spine",
-                {"bisect_past": 0}),)),
+    # the fallback is walked after a learned walk that ended within its
+    # budget: an absent key is charged the fallback's depth too
+    "paired-tandem-exit-skipped": Mutant(
+        replace_token(PairedDict.search, "if cur is not None:", "if True:"), "check",
+        (Killer("test_spine", "test_paired_search_equals_its_two_root_walks", {}),)),
+    # a budgeted walk spends one comparison past its budget
+    "search-budgeted-one-past": Mutant(
+        replace_token(_BST.search_budgeted, "if comps >= budget:", "if comps > budget:"),
+        "check",
+        (Killer("test_spine", "test_right_paths_on_both_sides_of_the_bisection_bound",
+                {"n": 65}),
+         Killer("test_spine", "test_paired_search_equals_its_two_root_walks", {}))),
     # the WHI delete rule's rebuild probability 1/(n+1) for 1/n: no HI
     # check sees it (ROADMAP item 3), only the rule's own test and the
     # verify whi stdout pin

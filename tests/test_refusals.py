@@ -128,6 +128,29 @@ def test_a_payload_that_is_not_bytes_is_refused(name, payload):
     assert d.search(4).payload == b"x" and d.search(5).payload is None
 
 
+_TREES = {"avl": lambda: AVLTree(7), **_PRECEDENCE}
+
+
+@pytest.mark.parametrize("bad", [1.5, float("nan"), True, np.int64(1), None],
+                         ids=["float", "nan", "bool", "numpy-int", "none"])
+@pytest.mark.parametrize("name", list(_TREES))
+def test_a_key_of_another_type_is_refused(name, bad):
+    # AVL had taken 1.5 and nan, and a nan key broke its order: after it,
+    # the key 0 went to the right of nan and check_invariants failed; True
+    # after the key 1 had raised DuplicateKeyError
+    d = _filled(_TREES[name])
+    message = "keys must be int, str or bytes, got " + type(bad).__name__
+    before = _state(d), d.keys()
+    for write in (lambda: d.insert(bad, 0.25), lambda: d.delete(bad)):
+        with pytest.raises(TypeError) as caught:
+            write()
+        assert str(caught.value) == message
+        assert (_state(d), d.keys()) == before
+    d.insert(0, 0.25)
+    assert d.keys() == [0, 1, 2, 3]
+    d.check_invariants()
+
+
 # the largest cutoff: half the largest double, an int
 _TOP = int(sys.float_info.max / 2)
 

@@ -1,17 +1,19 @@
 """Every read equals the root walk, whether it starts at the root or
 partway down the right spine.
 
-A read on a spine of more than ``_SPINE_BISECT`` (64) nodes bisects the
-spine's keys and starts at the first spine node its root descent would not
-pass, counting the nodes it skipped; a read on a shorter spine starts at
-the root.  The reference here is the plain descent from the root, written
-out in the test: for every held key, every gap between keys and keys below
-and above all of them, the replies and the comparison counts of
-``search``, ``search_budgeted`` (every budget from 1 to depth + 1),
-``predecessor``, ``range_query`` with a tally and ``in`` must match it.
-A paired search must match both its two root walks, the learned side's
-to the budget and then the fallback's, and ``search_budgeted`` on the
-learned side followed by ``_BST.search`` on the fallback.
+``search``, ``predecessor`` and ``range_query`` on a spine of more than
+``_SPINE_BISECT`` (64) nodes bisect the spine's keys and start at the first
+spine node their root descent would not pass, counting the nodes they
+skipped; on a shorter spine they start at the root.  ``search_budgeted``
+and the paired search always start at the root.  The reference here is the
+plain descent from the root, written out in the test: for every held key,
+every gap between keys and keys below and above all of them, the replies
+and the comparison counts of ``search``, ``search_budgeted`` (every budget
+from 1 to depth + 1), ``predecessor``, ``range_query`` with a tally and
+``in`` must match it.  A paired search must match its two root walks, the
+learned side's to the budget and then the fallback's; ``search_budgeted``
+on the learned side followed by ``_BST.search`` on the fallback; and the
+engine's ``_BST.search`` on each side, which bisects a long spine.
 Which reads bisect is pinned by counting the calls of ``bisect_left``.
 """
 
@@ -21,7 +23,6 @@ from bisect import bisect_left
 
 import pytest
 
-import hidict.pairing
 import hidict.structures
 import hidict.workloads as hw
 from hidict.bench import make_structure
@@ -227,12 +228,24 @@ def _composed(d, key, budget):
     return fallback.found, res.comparisons + fallback.comparisons, fallback.payload
 
 
+def _engine(d, key, budget):
+    # the engine's searches, which bisect a spine longer than
+    # ``_SPINE_BISECT``: the learned side's reply when it costs at most
+    # the budget, else the fallback's, charged the budget
+    res = _BST.search(d.learned, key)
+    if res.comparisons > budget:
+        res = _BST.search(d, key)
+        return res.found, budget + res.comparisons, res.payload
+    return res.found, res.comparisons, res.payload
+
+
 def _assert_paired_searches(d, probes):
     budget = d.search_budget()
     for key in probes:
         res = d.search(key)
         got = (res.found, res.comparisons, res.payload)
         assert got == _two_root_walks(d, key, budget) == _composed(d, key, budget), key
+        assert got == _engine(d, key, budget), key
 
 
 def test_paired_search_equals_its_two_root_walks():
@@ -243,8 +256,9 @@ def test_paired_search_equals_its_two_root_walks():
 def _learned_spine_pair(budget, bisect_past, monkeypatch):
     """An uncapped pair of keys 3k, k = 1..200, at f = 2**-k: the learned
     side's spine runs long.  Its gamma makes ``budget`` the search budget;
-    its searches bisect a spine longer than ``bisect_past``."""
-    monkeypatch.setattr(hidict.pairing, "_SPINE_BISECT", bisect_past)
+    the engine's reads, the paired search's reference, bisect a spine
+    longer than ``bisect_past``."""
+    monkeypatch.setattr(hidict.structures, "_SPINE_BISECT", bisect_past)
     d = PairedDict(6, gamma=(budget + 0.5) / math.log2(200))
     for k in range(1, 201):
         d.insert(3 * k, 2.0 ** -k, b"v%d" % k)
@@ -252,7 +266,8 @@ def _learned_spine_pair(budget, bisect_past, monkeypatch):
     return d
 
 
-# 64 is the library's bound; past 0, both sides' walks start on the spine
+# 64 is the library's bound; past 0, the engine's reference searches start
+# on the spine on both sides, while the paired search walks from the roots
 @pytest.mark.parametrize("bisect_past", [64, 0])
 def test_paired_search_on_a_long_learned_spine(monkeypatch, bisect_past):
     d = _learned_spine_pair(1, bisect_past, monkeypatch)
@@ -276,7 +291,7 @@ def test_paired_search_on_a_long_learned_spine(monkeypatch, bisect_past):
 @pytest.mark.parametrize("capacity", [None, 8])
 @pytest.mark.parametrize("held", [(), (3,)])
 def test_paired_search_on_empty_and_one_key_pairs(monkeypatch, held, capacity, bisect_past):
-    monkeypatch.setattr(hidict.pairing, "_SPINE_BISECT", bisect_past)
+    monkeypatch.setattr(hidict.structures, "_SPINE_BISECT", bisect_past)
     for gamma in (0.5, 1.0, 3.82):
         d = PairedDict(6, gamma=gamma, capacity=capacity)
         for key in held:
@@ -354,7 +369,6 @@ def test_right_paths_on_both_sides_of_the_bisection_bound(n):
 
 
 def _counting_bisect(monkeypatch):
-    # the paired search bisects with its module's own binding
     calls = []
 
     def counting(keys, key):
@@ -362,13 +376,12 @@ def _counting_bisect(monkeypatch):
         return bisect_left(keys, key)
 
     monkeypatch.setattr(hidict.structures, "bisect_left", counting)
-    monkeypatch.setattr(hidict.pairing, "bisect_left", counting)
     return calls
 
 
 def _reads(t, key):
-    return [lambda: t.search(key), lambda: _BST.search_budgeted(t, key, 5),
-            lambda: t.predecessor(key), lambda: t.range_query(key, key + 10)]
+    return [lambda: t.search(key), lambda: t.predecessor(key),
+            lambda: t.range_query(key, key + 10)]
 
 
 def _paper_check_tree(name):
@@ -410,3 +423,24 @@ def test_right_paths_bisect_once_per_read_past_64_keys(monkeypatch, n):
             before = len(calls)
             read()
             assert len(calls) == before + (n > 64), key
+
+
+@pytest.mark.parametrize("budget", [1, 5, 100, 10 ** 6])
+def test_budgeted_walks_never_bisect(monkeypatch, budget):
+    # the 2,000-node right path, and the learned side of the 200-key pair,
+    # whose spine passes 64: their reads bisect once each, while a
+    # budgeted walk and a paired search start at the root
+    path = _right_path(2000)
+    d = _learned_spine_pair(budget, 64, monkeypatch)
+    assert len(d.learned._spine_keys) > 64 >= len(d._spine_keys)
+    calls = _counting_bisect(monkeypatch)
+    for t in (path, d.learned):
+        for key in (0, 3, 300, 301, 600, 601, 6000, 6001):
+            for read in _reads(t, key):
+                before = len(calls)
+                read()
+                assert len(calls) == before + 1, key
+            _BST.search_budgeted(t, key, budget)
+            _BST.search_budgeted(d, key, budget)
+            d.search(key)
+            assert len(calls) == before + 1, key
