@@ -106,8 +106,9 @@ def _build(structure, ops):
     return structure
 
 
-def _randomized_realization(rng: random.Random, keys, universe):
-    """A random operation sequence ending with exactly ``keys`` present."""
+def _randomized_history(rng: random.Random, universe):
+    """A random subset of ``universe``, and operations that end with it present."""
+    keys = rng.sample(universe, rng.randint(1, len(universe)))
     ops = []
     order = list(keys)
     rng.shuffle(order)
@@ -128,48 +129,41 @@ def _randomized_realization(rng: random.Random, keys, universe):
             if extra not in present:
                 ops.append(("i", extra))
                 ops.append(("d", extra))
-    return ops
+    return keys, ops
 
 
 def shi_check(structure_factory: Callable[[], object], universe_size: int,
               trials: int, seed: int = 0) -> HiReport:
     """Strong-HI distinguisher over random (and small exhaustive) histories.
 
-    For universe_size from 1 to 6 every insertion order of the full key set
-    is enumerated; otherwise ``trials`` random subsets are realized by two
-    distinct operation sequences each (including delete/reinsert and
-    transient-key detours) and compared to the sorted-order build.  An
+    Each history, a key set and operations that reach it, is built and its
+    fingerprint compared to the ascending build of its key set.  For
+    universe_size from 1 to 6 the histories are every insertion order of
+    the full key set, the ascending one included (so a one-key universe
+    compares that build with itself); above 6 they are ``trials`` random
+    subsets, reached with delete/reinsert and transient-key detours.  An
     empty universe, or no trials above 6 keys, raises ``ValueError``: a
     pass must mean that something was compared.
     """
     if universe_size < 1:
         raise ValueError("shi_check needs universe_size >= 1, got %s" % show_value(universe_size))
-    rng = random.Random(seed)
-    mismatches = 0
-    total = 0
+    universe = list(range(1, universe_size + 1))
     if universe_size <= 6:
-        keys = list(range(1, universe_size + 1))
-        canonical = _build(structure_factory(), [("i", k) for k in keys]).fingerprint()
-        for perm in itertools.permutations(keys):
-            total += 1
-            fp = _build(structure_factory(), [("i", k) for k in perm]).fingerprint()
-            if fp != canonical:
-                mismatches += 1
-        return HiReport("strong", total, mismatches)
-
-    if trials < 1:
+        histories = ((perm, [("i", k) for k in perm])
+                     for perm in itertools.permutations(universe))
+    elif trials < 1:
         raise ValueError("shi_check needs trials >= 1 above a universe of 6, got %s"
                          % show_value(trials))
-    universe = list(range(1, universe_size + 1))
-    for _ in range(trials):
-        total += 1
-        size = rng.randint(1, universe_size)
-        keys = rng.sample(universe, size)
-        canonical = _build(structure_factory(), [("i", k) for k in sorted(keys)]).fingerprint()
-        fp = _build(structure_factory(),
-                    _randomized_realization(rng, keys, universe)).fingerprint()
-        if fp != canonical:
-            mismatches += 1
+    else:
+        rng = random.Random(seed)
+        histories = (_randomized_history(rng, universe) for _ in range(trials))
+    total = mismatches = 0
+    built = None  # the ascending keys of the last canonical build
+    for total, (keys, ops) in enumerate(histories, 1):
+        if sorted(keys) != built:
+            built = sorted(keys)
+            canonical = _build(structure_factory(), [("i", k) for k in built]).fingerprint()
+        mismatches += _build(structure_factory(), ops).fingerprint() != canonical
     return HiReport("strong", total, mismatches)
 
 

@@ -100,6 +100,10 @@ _STREAM_BYTE = tuple(bytes((s,)) for s in range(256))
 # a weight check against it also rejects nan and an int no double holds
 _MAX_DOUBLE = sys.float_info.max
 
+# every oracle u has |log u| < 46, so a C-treap rank log u / f is finite
+# for f at least this (about 2.56e-307); below it a rank can be -inf
+_MIN_CTREAP_F = 46 / _MAX_DOUBLE
+
 # the lowest int-to-string limit Python accepts (640 digits); an int key
 # whose repr is longer prints as its hex under every limit, so a
 # fingerprint does not depend on sys.set_int_max_str_digits
@@ -804,13 +808,18 @@ class LTreap(_PrecedenceTree):
 
 
 class CTreap(_PrecedenceTree):
-    """Weighted treap with priority u**(1/f), compared in log space."""
+    """Weighted treap with priority u**(1/f), compared in log space.
+
+    An estimate below ``_MIN_CTREAP_F`` is refused: its rank could be -inf."""
 
     kind = "c-treap"
     _RANK_TEXT = "(log u / f,)"
 
     def _rank(self, key, f):
-        if not 0 < f <= _MAX_DOUBLE:
+        if not _MIN_CTREAP_F <= f <= _MAX_DOUBLE:
+            if 0 < f < _MIN_CTREAP_F:
+                raise ValueError("C-treap requires f >= 46 / max double, so that log u / f"
+                                 " is finite, got %s" % show_value(f))
             raise ValueError("C-treap requires a positive finite frequency estimate, got %s"
                              % show_value(f))
         u = (_oracle_keyed(self._hasher, key, 3) + 0.5) / 2.0**64  # oracle_uniform

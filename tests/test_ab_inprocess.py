@@ -30,7 +30,7 @@ def test_two_copies_of_one_checkout_are_timed(tool, capsys):
     assert out.startswith("2 rounds; times in ms\n")
     for task in ("fingerprint threshold", "fingerprint paired-cap", "fingerprint avl",
                  "search paired-cap", "search paired", "search paper-check",
-                 "search long-spine",
+                 "search long-spine", "search l-treap",
                  "churn zipzip", "churn dynamic-whi", "churn paired"):
         assert "\n" + task + " " in out
 

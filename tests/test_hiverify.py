@@ -58,6 +58,13 @@ def test_shi_negative_control():
     assert report.mismatches >= 1 and not report.passed
 
 
+def test_shi_sampled_draw_order_is_pinned():
+    # the sampled histories' draws: key set, shuffle, detours, in this
+    # order, trial after trial; the AVL control reads how many mismatch
+    report = shi_check(AVLTree, universe_size=128, trials=200, seed=0)
+    assert report.trials == 200 and report.mismatches == 194
+
+
 def test_shi_randomized_needs_a_trial():
     # zero trials would pass without building anything
     with pytest.raises(ValueError, match="trials"):

@@ -28,8 +28,9 @@ import pytest
 
 import hidict.dynamics
 import hidict.structures
+from hidict.hiverify import shi_check
 from hidict.pairing import PairedDict
-from hidict.structures import LTreap, ZipZipTree, _BST, _PrecedenceTree
+from hidict.structures import CTreap, LTreap, ZipZipTree, _BST, _PrecedenceTree
 
 
 def replace_token(func, token: str, replacement: str) -> Callable:
@@ -136,6 +137,17 @@ MUTANTS = {
         (Killer("test_spine", "test_right_paths_on_both_sides_of_the_bisection_bound",
                 {"n": 65}),
          Killer("test_spine", "test_paired_search_equals_its_two_root_walks", {}))),
+    # the strong check keeps the first history's canonical build, so every
+    # sampled key set after it is compared to another set's tree
+    "shi-canonical-never-rebuilt": Mutant(
+        replace_token(shi_check, "if sorted(keys) != built:", "if built is None:"), "check",
+        (Killer("test_hiverify", "test_shi_randomized_universe", {}),)),
+    # a C-treap takes an estimate whose rank log u / f can be -inf
+    "ctreap-overflowing-estimate-taken": Mutant(
+        replace_token(CTreap._rank, "_MIN_CTREAP_F <= f <= _MAX_DOUBLE", "0 < f <= _MAX_DOUBLE"),
+        "check",
+        (Killer("test_refusals", "test_a_c_treap_refuses_an_estimate_whose_rank_overflows",
+                {"f": 1e-308}),)),
     # the WHI delete rule's rebuild probability 1/(n+1) for 1/n: no HI
     # check sees it (ROADMAP item 3), only the rule's own test and the
     # verify whi stdout pin

@@ -7,6 +7,7 @@ double; a larger one is refused where it is set.  A precedence tree's
 payload is bytes or None, the values its fingerprint prints as given.
 """
 
+import math
 import random
 import sys
 
@@ -83,6 +84,43 @@ def test_unprintable_values_in_the_other_refusals():
         t.load_sorted([(HUGE, 1.0, None), (1, 1.0, None)])
     assert str(caught.value) == "entries out of key order: 1 after " + HUGE_TEXT
     assert _state(t) == _state(ZipZipTree(7))
+
+
+_LEAST_C = 46 / sys.float_info.max  # a C-treap's least estimate
+_TINY = "C-treap requires f >= 46 / max double, so that log u / f is finite, got "
+
+
+@pytest.mark.parametrize("f", [5e-324, 1e-308, math.nextafter(_LEAST_C, 0)],
+                         ids=["5e-324", "1e-308", "below-bound"])
+def test_a_c_treap_refuses_an_estimate_whose_rank_overflows(f):
+    # |log u| < 46, so log u / f is finite from f = 46 / max double on;
+    # below it a rank could be -inf: at f = 1e-308, 322 of the keys
+    # 1..1999 of CTreap(3) ranked -inf, tied, and fell back to key order
+    d = _filled(lambda: CTreap(3))
+    before = _state(d)
+    with pytest.raises(ValueError) as caught:
+        d.insert(4, f)
+    assert str(caught.value) == _TINY + repr(f)
+    assert _state(d) == before
+    t = CTreap(3)
+    with pytest.raises(ValueError) as caught:
+        t.load_sorted([(1, 0.5, None), (2, f, None)])
+    assert str(caught.value) == _TINY + repr(f)
+    assert _state(t) == _state(CTreap(3))
+    # a non-positive estimate keeps its own message
+    for bad in (0.0, -f, float("nan")):
+        with pytest.raises(ValueError) as caught:
+            d.insert(4, bad)
+        assert str(caught.value) == ("C-treap requires a positive finite frequency "
+                                     "estimate, got " + repr(bad))
+
+
+def test_a_c_treap_ranks_finitely_at_its_least_estimate():
+    t = CTreap(3)
+    for k in range(1, 2000):
+        t.insert(k, _LEAST_C)
+    assert all(math.isfinite(node.rank) for node in t._inorder())
+    t.check_invariants()
 
 
 _PRECEDENCE = {

@@ -23,6 +23,7 @@ from hidict.structures import (
     CTreap,
     LTreap,
     ZipZipTree,
+    _MIN_CTREAP_F,
     _Node,
     _order_bits,
     _wins,
@@ -455,11 +456,12 @@ def test_treap_rank_l_packs_the_frequency_and_oracle_pair(entries):
     assert t._root.key == min(pairs, key=lambda k: (-pairs[k][0], -pairs[k][1], k))
 
 
-@given(st.integers(-50, 50), st.floats(min_value=5e-324, allow_infinity=False),
-       st.integers(-50, 50), st.floats(min_value=5e-324, allow_infinity=False))
+@given(st.integers(-50, 50), st.floats(min_value=_MIN_CTREAP_F, allow_infinity=False),
+       st.integers(-50, 50), st.floats(min_value=_MIN_CTREAP_F, allow_infinity=False))
 def test_treap_priority_c_identity_at_f1(ka, fa, kb, fb):
     # the stored priority is the float log(u**(1/f)) = log(u)/f, which is
-    # log u at f = 1; it orders as the one-float tuple it once was
+    # log u at f = 1; it orders as the one-float tuple it once was.  A
+    # smaller f is refused (tests/test_refusals.py)
     ra, rb = CTreap(1)._rank(ka, fa), CTreap(1)._rank(kb, fb)
     for key, f, rank in ((ka, fa, ra), (kb, fb, rb)):
         assert type(rank) is float

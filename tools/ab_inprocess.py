@@ -14,8 +14,10 @@ paired dict and AVL tree; 20,000 searches of held and absent keys, drawn
 by a Zipf(1) law over the probes in order of predicted frequency, on that
 capped paired dict, on a 5,000-key uncapped one, on paper-check's pair
 (capacity 2,000, keys 1..2,000 inserted in key order at Zipf(1)
-predictions) and on a pair whose learned side's right spine runs long
-(keys 3k at f = 2**-k for k = 1..1,000, gamma 3.82); and 20,000 churn
+predictions), on a pair whose learned side's right spine runs long
+(keys 3k at f = 2**-k for k = 1..1,000, gamma 3.82) and on paper-check's
+L-treap (the same keys and predictions, a right path: its searches
+bisect the spine); and 20,000 churn
 operations (a delete of a held key, then an insert of an absent one) at
 5,000 keys on a zip-zip tree, a WHI dynamic dict and an uncapped paired
 dict, each churn on a fresh build.  Each round runs every task on both
@@ -45,7 +47,7 @@ BIG = 100_000  # keys of the fingerprinted structures
 LIVE = 5_000  # keys held through a churn
 CHURN = 20_000  # operations per churn, half deletes and half inserts
 READS = 20_000  # searches per read task
-PAPER = 2_000  # keys of paper-check's pair
+PAPER = 2_000  # keys of paper-check's pair and L-treap
 LONG = 1_000  # keys of the pair with a long learned spine
 SEED = 3101
 
@@ -109,13 +111,13 @@ def queries(rng: np.random.Generator, items: list) -> list:
 def read_tasks(pkgs: dict, rng: np.random.Generator, items: list, capped: dict) -> dict:
     """Task name to {side: call}: each call runs READS searches on a
     prebuilt paired dict, ``capped`` holding ``items``, an uncapped one of
-    LIVE keys, paper-check's or the long-spine pair, and returns the
-    replies."""
+    LIVE keys, paper-check's or the long-spine pair, or on paper-check's
+    L-treap, and returns the replies."""
     small = inputs(rng, LIVE)
     zipf = 1.0 / np.arange(1, PAPER + 1)
     paper = [(k, float(f), None) for k, f in zip(range(1, PAPER + 1), zipf / zipf.sum())]
     spine = [(3 * k, 2.0 ** -k, None) for k in range(1, LONG + 1)]
-    pairs = {
+    built = {
         "search paired-cap": (items, capped),
         "search paired": (small, {side: filled(h.PairedDict(SEED), small)
                                   for side, h in pkgs.items()}),
@@ -123,6 +125,8 @@ def read_tasks(pkgs: dict, rng: np.random.Generator, items: list, capped: dict) 
                                        for side, h in pkgs.items()}),
         "search long-spine": (spine, {side: filled(h.PairedDict(SEED, gamma=3.82), spine)
                                       for side, h in pkgs.items()}),
+        "search l-treap": (paper, {side: filled(h.LTreap(SEED), paper)
+                                   for side, h in pkgs.items()}),
     }
 
     def bind(search, keys):
@@ -131,7 +135,7 @@ def read_tasks(pkgs: dict, rng: np.random.Generator, items: list, capped: dict) 
         return run
 
     tasks = {}
-    for name, (held, sides) in pairs.items():
+    for name, (held, sides) in built.items():
         keys = queries(rng, held)
         tasks[name] = {side: bind(d.search, keys) for side, d in sides.items()}
     return tasks
