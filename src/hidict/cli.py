@@ -142,7 +142,10 @@ def build_parser():
     v = sub.add_parser("verify", help="history-independence verification")
     vsub = v.add_subparsers(dest="mode", required=True)
     vs = vsub.add_parser("shi", allow_abbrev=False)
-    vs.add_argument("--universe", type=_POSITIVE_INT, default=128)
+    vs.add_argument("--universe", type=_POSITIVE_INT, default=128,
+                    help="the randomized check's keys are 1..UNIVERSE; at 6 or"
+                         " below it tries every insertion order of them"
+                         " instead, and --trials is unused")
     vs.add_argument("--trials", type=_POSITIVE_INT, default=1000)
     vs.add_argument("--seed", type=int, default=0)
     vw = vsub.add_parser("whi", allow_abbrev=False)

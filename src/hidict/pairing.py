@@ -35,14 +35,15 @@ class PairedDict(ZipZipTree):
     oracle streams, whose reads (``predecessor``, ``range_query``, ``keys``,
     ``len``) are the tree's own; ``in`` runs the paired ``search``.
     ``learned`` holds the same keys: a threshold-wrapped biased zip-zip
-    tree with ``capacity`` set, else a biased zip-zip tree weighted by the
-    raw frequency estimates.  ``search`` walks both sides from their
-    roots in its own frame.  The fallback's own steps call the engine by
-    class (``_PrecedenceTree.insert(self, ...)``); the other inherited
-    methods, ``search_budgeted`` among them, see the fallback side only.
-    No library path calls ``search_budgeted``: the tests hold the paired
-    search to it, and perfbench's hooks name it.  ``check_invariants``
-    checks both sides and that they hold the same keys.
+    tree with ``capacity`` set, which takes any f in [0, 1], else a biased
+    zip-zip tree weighted by the raw frequency estimates, which takes any
+    positive finite f.  An insert goes to the learned side first, so an
+    estimate it cannot rank is refused before either side changes.
+    ``search`` walks both sides from their roots in its own frame.  The
+    fallback's own steps call the engine by class
+    (``_PrecedenceTree.insert(self, ...)``); the other inherited methods,
+    ``search_budgeted`` among them, see the fallback side only.
+    ``check_invariants`` checks both sides and that they hold the same keys.
     """
 
     kind = "zipzip+8"
@@ -64,9 +65,6 @@ class PairedDict(ZipZipTree):
             self.learned = ZipZipTree(seed)
 
     def insert(self, key, f: float, payload: Optional[bytes] = None):
-        if f <= 0:
-            # every paired key needs a frequency estimate
-            raise ValueError("paired insert requires f > 0, got %s" % show_value(f))
         self.learned.insert(key, f, payload)
         try:
             _PrecedenceTree.insert(self, key, 1.0, payload)

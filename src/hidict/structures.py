@@ -16,9 +16,9 @@ turns right at exactly the spine nodes with smaller keys, so a write, and a
 ``search``, ``predecessor`` or ``range_query`` on a spine of more than
 ``_SPINE_BISECT`` nodes, bisects the spine's keys in C and starts at the
 first spine node it would not pass, counting the nodes it skipped.  A read
-on a shorter spine, a balanced tree's, starts at the root, and so does every
-``search_budgeted``.  A key appended above the largest that the largest
-outranks attaches in O(1), with no descent.
+on a shorter spine, a balanced tree's, starts at the root.  A key appended
+above the largest that the largest outranks attaches in O(1), with no
+descent.  ``search_budgeted`` is ``search`` cut at its budget.
 """
 
 from __future__ import annotations
@@ -230,7 +230,8 @@ class _BST:
     root descent turns right at, and count them; past the spine's end they
     end.  On a shorter spine, and on the empty one an AVL tree keeps, they
     start at the root, whose descent passes and counts the same nodes, so
-    the replies are the same.  ``search_budgeted`` starts at the root.
+    the replies are the same.  ``search_budgeted`` is ``search`` cut at its
+    budget.
     """
 
     def __init__(self, seed: int):
@@ -286,21 +287,13 @@ class _BST:
         return costs
 
     def search_budgeted(self, key, budget: int):
-        """Search spending at most ``budget`` comparisons.
-
-        Returns (result, exhausted).  exhausted=True means the budget ran
-        out before the descent reached a conclusion.  The descent starts at
-        the root on any spine: the budget bounds it.
-        """
-        comps, cur = 0, self._root
-        while cur is not None:
-            if comps >= budget:
-                return SearchResult(False, comps), True
-            comps += 1
-            if key == cur.key:
-                return SearchResult(True, comps, cur.payload), False
-            cur = cur.left if key < cur.key else cur.right
-        return SearchResult(False, comps), False
+        """(result, exhausted): ``_BST.search``'s reply when it costs at most
+        ``budget`` comparisons, else the budget spent with no conclusion.
+        Named by class, the search sees a paired dict's fallback side only."""
+        res = _BST.search(self, key)
+        if res.comparisons <= budget:
+            return res, False
+        return SearchResult(False, budget), True
 
     def predecessor(self, key):
         keys = self._spine_keys

@@ -146,6 +146,14 @@ def test_verify_shi_smallest_universe(capsys):
     assert "RESULT verify-shi pass=true" in capsys.readouterr().out
 
 
+def test_verify_shi_at_a_small_universe_ignores_trials(capsys):
+    # at a universe of 6 or below the randomized check tries every insertion
+    # order: 3! orders of keys 1..3 beside the exhaustive check's 6! of 1..6
+    assert main(["verify", "shi", "--universe", "3", "--trials", "1000"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split()[2] for line in out[:3]] == ["trials=726"] * 3
+
+
 def test_bench_flags_reach_the_runner(capsys):
     assert main(["bench", "size", "--n-list", "16", "--structures", "avl"]) == 0
     assert "size avl n=16 alpha=2 " in capsys.readouterr().out

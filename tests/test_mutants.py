@@ -130,13 +130,19 @@ MUTANTS = {
     "paired-tandem-exit-skipped": Mutant(
         replace_token(PairedDict.search, "if cur is not None:", "if True:"), "check",
         (Killer("test_spine", "test_paired_search_equals_its_two_root_walks", {}),)),
-    # a budgeted walk spends one comparison past its budget
+    # a budgeted search keeps a reply one comparison past its budget
     "search-budgeted-one-past": Mutant(
-        replace_token(_BST.search_budgeted, "if comps >= budget:", "if comps > budget:"),
+        replace_token(_BST.search_budgeted, "<= budget:", "<= budget + 1:"),
         "check",
         (Killer("test_spine", "test_right_paths_on_both_sides_of_the_bisection_bound",
                 {"n": 65}),
          Killer("test_spine", "test_paired_search_equals_its_two_root_walks", {}))),
+    # the pair refuses f = 0 itself, which its capped learned side takes
+    "paired-own-estimate-rule": Mutant(
+        replace_token(PairedDict.insert, "self.learned.insert(key, f, payload)",
+                      "if f <= 0:\n        raise ValueError('paired insert requires f > 0')"
+                      "\n    self.learned.insert(key, f, payload)"), "check",
+        (Killer("test_pairing", "test_a_capped_pair_takes_a_zero_prediction", {}),)),
     # the strong check keeps the first history's canonical build, so every
     # sampled key set after it is compared to another set's tree
     "shi-canonical-never-rebuilt": Mutant(

@@ -39,13 +39,37 @@ def test_delete_to_empty_matches_fresh():
 
 
 def test_zero_frequency_rejected():
-    # so is an int estimate above the largest double, with or without a cutoff
-    for capacity in (None, 8):
-        for bad in (0.0, 10**400):
+    # without a cutoff; a capped pair takes f = 0 (next test).  An int
+    # estimate above the largest double is refused with or without one
+    for capacity, bads in ((None, (0.0, 10**400)), (8, (10**400,))):
+        for bad in bads:
             d = PairedDict(0, capacity=capacity)
             with pytest.raises(ValueError):
                 d.insert(1, bad)
             assert d.node_count() == 0
+
+
+def _capped_pair(entries):
+    d = PairedDict(5, capacity=64)
+    for k, f in entries:
+        d.insert(k, f, b"v%d" % k)
+    return d
+
+
+def test_a_capped_pair_takes_a_zero_prediction():
+    # its thresholded learned side floors f = 0 at 1 / (2 * capacity), as
+    # it floors every estimate below that
+    entries = [(k, 0.0 if k % 3 else 1.0 / k) for k in range(1, 41)]
+    shuffled = entries[:]
+    random.Random(2).shuffle(shuffled)
+    d = _capped_pair(shuffled)
+    d.insert(99, 0.0)  # a detour through one more zero
+    d.delete(99)
+    d.check_invariants()
+    assert d.fingerprint() == _capped_pair(entries).fingerprint()
+    for k, f in entries:
+        res = d.search(k)
+        assert (res.found, res.payload) == (True, b"v%d" % k), k
 
 
 def test_tandem_invariant_and_atomicity():

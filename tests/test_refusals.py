@@ -47,8 +47,8 @@ def _filled(make):
     (lambda: ThresholdedDict(7, 10), HUGE, "frequency must be in [0, 1], got " + HUGE_TEXT),
     (lambda: DynamicThresholdDict(7, scheme_seed=1), -HUGE,
      "frequency must be in [0, 1], got " + NEG_TEXT),
-    (lambda: PairedDict(7), -HUGE, "paired insert requires f > 0, got " + NEG_TEXT),
-    (lambda: PairedDict(7, capacity=10), -HUGE, "paired insert requires f > 0, got " + NEG_TEXT),
+    (lambda: PairedDict(7), -HUGE, "weight must be positive and finite, got " + NEG_TEXT),
+    (lambda: PairedDict(7, capacity=10), -HUGE, "frequency must be in [0, 1], got " + NEG_TEXT),
     (lambda: PairedDict(7), HUGE, "weight must be positive and finite, got " + HUGE_TEXT),
     (lambda: PairedDict(7, capacity=10), HUGE, "frequency must be in [0, 1], got " + HUGE_TEXT),
 ], ids=["zipzip", "zipzip-neg", "l-treap", "c-treap", "threshold", "dynamic", "paired-neg",

@@ -5,15 +5,16 @@ partway down the right spine.
 ``_SPINE_BISECT`` (64) nodes bisect the spine's keys and start at the first
 spine node their root descent would not pass, counting the nodes they
 skipped; on a shorter spine they start at the root.  ``search_budgeted``
-and the paired search always start at the root.  The reference here is the
-plain descent from the root, written out in the test: for every held key,
-every gap between keys and keys below and above all of them, the replies
-and the comparison counts of ``search``, ``search_budgeted`` (every budget
-from 1 to depth + 1), ``predecessor``, ``range_query`` with a tally and
-``in`` must match it.  A paired search must match its two root walks, the
-learned side's to the budget and then the fallback's; ``search_budgeted``
-on the learned side followed by ``_BST.search`` on the fallback; and the
-engine's ``_BST.search`` on each side, which bisects a long spine.
+is ``search`` cut at its budget, and the paired search always starts at
+the roots.  The reference here is the plain descent from the root, written
+out in the test: for every held key, every gap between keys and keys below
+and above all of them, the replies and the comparison counts of
+``search``, ``search_budgeted`` (every budget from 1 to depth + 1),
+``predecessor``, ``range_query`` with a tally and ``in`` must match it.
+A paired search must match its two root walks, the learned side's to the
+budget and then the fallback's; ``search_budgeted`` on the learned side
+followed by ``_BST.search`` on the fallback; and the engine's
+``_BST.search`` on each side, which bisects a long spine.
 Which reads bisect is pinned by counting the calls of ``bisect_left``.
 """
 
@@ -428,19 +429,37 @@ def test_right_paths_bisect_once_per_read_past_64_keys(monkeypatch, n):
 @pytest.mark.parametrize("budget", [1, 5, 100, 10 ** 6])
 def test_budgeted_walks_never_bisect(monkeypatch, budget):
     # the 2,000-node right path, and the learned side of the 200-key pair,
-    # whose spine passes 64: their reads bisect once each, while a
-    # budgeted walk and a paired search start at the root
+    # whose spine passes 64: their reads bisect once each, and so does
+    # ``search_budgeted``, which is ``search`` cut at its budget; on the
+    # pair's short fallback spine neither bisects, and the paired search's
+    # budgeted walk starts at the roots
     path = _right_path(2000)
     d = _learned_spine_pair(budget, 64, monkeypatch)
     assert len(d.learned._spine_keys) > 64 >= len(d._spine_keys)
     calls = _counting_bisect(monkeypatch)
     for t in (path, d.learned):
         for key in (0, 3, 300, 301, 600, 601, 6000, 6001):
-            for read in _reads(t, key):
+            for read in _reads(t, key) + [lambda: _BST.search_budgeted(t, key, budget)]:
                 before = len(calls)
                 read()
                 assert len(calls) == before + 1, key
-            _BST.search_budgeted(t, key, budget)
             _BST.search_budgeted(d, key, budget)
+            _BST.search(d, key)
             d.search(key)
             assert len(calls) == before + 1, key
+
+
+@pytest.mark.parametrize("make", [ZipZipTree, AVLTree, PairedDict],
+                         ids=["zipzip", "avl", "paired"])
+def test_budget_zero(make):
+    # a budget of 0 reaches no conclusion on a filled tree, and on an empty
+    # one the search ends, spending nothing; a pair is read as its fallback
+    t = make(3)
+    for key in (-5, 0, 7):
+        res, exhausted = _BST.search_budgeted(t, key, 0)
+        assert (res.found, res.comparisons, res.payload, exhausted) == (False, 0, None, False)
+    for key in (3, 6, 9):
+        t.insert(key, 0.5, b"k%d" % key)
+    for key in (-5, 3, 6, 7, 9, 10):
+        res, exhausted = _BST.search_budgeted(t, key, 0)
+        assert (res.found, res.comparisons, res.payload, exhausted) == (False, 0, None, True)
