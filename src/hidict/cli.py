@@ -143,9 +143,9 @@ def build_parser():
     vsub = v.add_subparsers(dest="mode", required=True)
     vs = vsub.add_parser("shi", allow_abbrev=False)
     vs.add_argument("--universe", type=_POSITIVE_INT, default=128,
-                    help="the randomized check's keys are 1..UNIVERSE; at 6 or"
-                         " below it tries every insertion order of them"
-                         " instead, and --trials is unused")
+                    help="the randomized check's keys are 1..UNIVERSE, at"
+                         " least 2; at 6 or below it tries every insertion"
+                         " order of them instead, and --trials is unused")
     vs.add_argument("--trials", type=_POSITIVE_INT, default=1000)
     vs.add_argument("--seed", type=int, default=0)
     vw = vsub.add_parser("whi", allow_abbrev=False)

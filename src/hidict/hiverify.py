@@ -138,15 +138,15 @@ def shi_check(structure_factory: Callable[[], object], universe_size: int,
 
     Each history, a key set and operations that reach it, is built and its
     fingerprint compared to the ascending build of its key set.  For
-    universe_size from 1 to 6 the histories are every insertion order of
-    the full key set, the ascending one included (so a one-key universe
-    compares that build with itself); above 6 they are ``trials`` random
-    subsets, reached with delete/reinsert and transient-key detours.  An
-    empty universe, or no trials above 6 keys, raises ``ValueError``: a
-    pass must mean that something was compared.
+    universe_size from 2 to 6 the histories are every insertion order of
+    the full key set, the ascending one included; above 6 they are
+    ``trials`` random subsets, reached with delete/reinsert and
+    transient-key detours.  A universe of fewer than 2 keys, or no trials
+    above 6 keys, raises ``ValueError``: a pass must mean that two
+    histories were compared, and one key has only one.
     """
-    if universe_size < 1:
-        raise ValueError("shi_check needs universe_size >= 1, got %s" % show_value(universe_size))
+    if universe_size < 2:
+        raise ValueError("shi_check needs universe_size >= 2, got %s" % show_value(universe_size))
     universe = list(range(1, universe_size + 1))
     if universe_size <= 6:
         histories = ((perm, [("i", k) for k in perm])

@@ -141,8 +141,11 @@ def test_float_flags_accept_their_bounds(argv, capsys):
 
 
 def test_verify_shi_smallest_universe(capsys):
+    # one key has one history, which a check would compare with itself
+    assert main(["verify", "shi", "--universe", "1", "--trials", "1"]) == 1
+    assert capsys.readouterr().err == "error: shi_check needs universe_size >= 2, got 1\n"
     # the exhaustive check's 6 keys fit the thresholded dict at any universe
-    assert main(["verify", "shi", "--universe", "1", "--trials", "1"]) == 0
+    assert main(["verify", "shi", "--universe", "2", "--trials", "1"]) == 0
     assert "RESULT verify-shi pass=true" in capsys.readouterr().out
 
 

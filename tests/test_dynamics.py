@@ -1,7 +1,6 @@
 import hashlib
 import math
 import random
-import sys
 from collections import Counter
 
 import pytest
@@ -24,6 +23,7 @@ from hidict.pairing import PairedDict
 from hidict.structures import CTreap, LTreap, ZipZipTree, _Node
 from hidict.thresholding import ThresholdedDict, threshold
 from hidict.workloads import zipf_frequencies
+from test_write_frames import _frames
 
 
 # ------------------------------------------------------- amortized scheme
@@ -340,20 +340,6 @@ def test_rebuild_boundaries_equal_fresh_build_and_keep_unmoved_ranks():
     assert levels == set(range(-13, 0))
 
 
-def _rebuild_calls(d, N):
-    calls = 0
-
-    def profile(frame, event, arg):
-        nonlocal calls
-        if event == "call":
-            calls += 1
-
-    sys.setprofile(profile)
-    d.rebuild(N)
-    sys.setprofile(None)
-    return calls
-
-
 def test_rebuild_calls_only_what_the_new_cutoff_moves():
     # Python calls per rebuild (profile ``call`` events, no clock) on n
     # keys drawn from a Zipf universe of 4n, as in churn-whi; a key whose
@@ -366,10 +352,10 @@ def test_rebuild_calls_only_what_the_new_cutoff_moves():
             d.insert(k, freqs[k])
         # 1/(2(2n-1)) and 1/(4n) share a floor level; 1/(8n) and 1/(2n) do not
         assert _floor_level(2 * n - 1) == _floor_level(2 * n)
-        same_level[n] = _rebuild_calls(d, 2 * n - 1)
+        same_level[n] = len(_frames(d.rebuild, 2 * n - 1))
         for N in (4 * n, n):
             assert _floor_level(N) != _floor_level(d.N)
-            assert _rebuild_calls(d, N) <= 2 * n, (n, N)
+            assert len(_frames(d.rebuild, N)) <= 2 * n, (n, N)
     assert same_level[64] == same_level[4096] <= 8, same_level
 
 

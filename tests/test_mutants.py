@@ -31,6 +31,7 @@ import hidict.structures
 from hidict.hiverify import shi_check
 from hidict.pairing import PairedDict
 from hidict.structures import CTreap, LTreap, ZipZipTree, _BST, _PrecedenceTree
+from hidict.thresholding import ThresholdedDict
 
 
 def replace_token(func, token: str, replacement: str) -> Callable:
@@ -163,6 +164,31 @@ MUTANTS = {
         (Killer("test_dynamics", "test_whi_delete_probabilistic_branch", {}),
          Killer("test_cli_stdout", "test_cli_stdout_bytes",
                 {"args": "verify whi --n-list 5,8 --samples 4000"}))),
+    # one more scheme draw per WHI delete: the cutoff simulator shares the
+    # step, so the dict still matches it, and no HI check sees the shifted
+    # draws (ROADMAP item 4); only the golden digest and the verify whi
+    # stdout pin
+    "whi-delete-extra-draw": Mutant(
+        replace_token(hidict.dynamics._CutoffScheme._after_delete,
+                      "whi_after_delete(self._n, self.N, ",
+                      "whi_after_delete(self._n, self.N, self.rng.random() * 0 + "), "pin",
+        (Killer("test_golden", "test_golden_fingerprints_and_comparison_counts", {}),
+         Killer("test_cli_stdout", "test_cli_stdout_bytes",
+                {"args": "verify whi --n-list 5,8 --samples 4000"}))),
+    # a rebuild leaves the ranks of the keys between the two floors as
+    # they were: the tree is no longer the fresh build at the new cutoff
+    "rebuild-middle-band-not-reranked": Mutant(
+        replace_token(ThresholdedDict.rebuild, "elif f < top:", "elif False:"), "check",
+        (Killer("test_dynamics", "test_rebuild_equals_fresh_sorted_build", {}),
+         Killer("test_dynamics",
+                "test_rebuild_boundaries_equal_fresh_build_and_keep_unmoved_ranks", {}))),
+    # a paired insert whose fallback fails keeps the key on the learned side
+    "paired-failed-insert-keeps-learned-key": Mutant(
+        replace_token(PairedDict.insert, "self.learned.delete(key)", "pass"), "check",
+        (Killer("test_pairing", "test_an_insert_the_fallback_refuses_leaves_the_learned_side",
+                {"capacity": None}),
+         Killer("test_pairing", "test_an_insert_the_fallback_refuses_leaves_the_learned_side",
+                {"capacity": 64}))),
 }
 
 

@@ -84,6 +84,22 @@ def test_tandem_invariant_and_atomicity():
     assert d.learned.keys() == d.keys() == [k for k in range(1, 33) if k != 10]
 
 
+@pytest.mark.parametrize("capacity", [None, 64])
+def test_an_insert_the_fallback_refuses_leaves_the_learned_side(monkeypatch, capacity):
+    # the learned side takes the key first, so a fallback that fails after
+    # it must take the key back out
+    d = build(1, [(k, 0.01) for k in range(1, 33)], capacity=capacity)
+    learned, before = d.learned.fingerprint(), d.fingerprint()
+
+    def refuse(*args):
+        raise RuntimeError("the fallback refuses")
+
+    monkeypatch.setattr(PairedDict, "_rank", refuse)
+    with pytest.raises(RuntimeError):
+        d.insert(40, 0.01)
+    assert (d.learned.fingerprint(), d.fingerprint()) == (learned, before)
+
+
 def test_budget_formula():
     d = build(0, [(k, 1.0 / 1024) for k in range(1, 1025)])
     assert d.search_budget() == 10  # floor(1 * log2 1024)

@@ -5,7 +5,8 @@ and enters no constructor.  A paired search enters ``PairedDict.search``
 and the ``search_budget`` it reads once, and nothing else: it walks the
 learned side to the budget and, when the budget runs out, the fallback in
 its own frame, and fills one blank reply whether it falls back or not.
-``predecessor`` and ``range_query`` enter no frame but their own.  The
+``predecessor`` and ``range_query`` enter no frame but their own.  A
+search of these short trees hashes nothing and bisects nothing.  The
 harness is the write frames' (``tests/test_write_frames.py``).
 """
 
@@ -15,7 +16,7 @@ import pytest
 
 import hidict.pairing
 from hidict.structures import SearchResult
-from test_write_frames import _frames, _make
+from test_write_frames import _c_work, _frames, _make
 
 pytestmark = pytest.mark.skipif(sys.version_info < (3, 11), reason="needs co_qualname")
 
@@ -46,6 +47,7 @@ def test_read_frames_are_pinned(name):
         res = d.search(key)
         assert res == SearchResult(key == 19, res.comparisons, b"v19" if key == 19 else None)
         assert _frames(d.search, key) == (_PAIRED if paired else _SEARCH), key
+        assert _c_work(d.search, key) == (0, 0, 0, 0), key
         assert _frames(d.predecessor, key) == ["_BST.predecessor"]
         assert _frames(d.range_query, key, key + 9) == ["_BST.range_query"]
     assert _frames(d.__contains__, 19) == ["_BST.__contains__"] + _frames(d.search, 19)

@@ -268,11 +268,13 @@ def _whi_factory(s):
 
 def test_unprintable_values_in_the_checks_and_the_workloads():
     cases = [
-        # an empty universe had compared one empty tree with another, and
-        # passed even the AVL control
-        (lambda: shi_check(AVLTree, 0, 0), "shi_check needs universe_size >= 1, got 0"),
+        # an empty universe had compared one empty tree with another, and a
+        # one-key universe its one build with itself: both passed even the
+        # AVL control
+        (lambda: shi_check(AVLTree, 0, 0), "shi_check needs universe_size >= 2, got 0"),
+        (lambda: shi_check(AVLTree, 1, 0), "shi_check needs universe_size >= 2, got 1"),
         (lambda: shi_check(lambda: ZipZipTree(1), -HUGE, 5),
-         "shi_check needs universe_size >= 1, got " + NEG_TEXT),
+         "shi_check needs universe_size >= 2, got " + NEG_TEXT),
         (lambda: shi_check(lambda: ZipZipTree(1), 8, -HUGE),
          "shi_check needs trials >= 1 above a universe of 6, got " + NEG_TEXT),
         (lambda: whi_check(_whi_factory, 4, -HUGE, [growth_strategy(4)] * 2),

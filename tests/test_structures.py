@@ -34,6 +34,7 @@ from hidict.dynamics import DynamicThresholdDict
 from hidict.pairing import PairedDict
 from hidict.thresholding import ThresholdedDict, threshold
 from hidict.workloads import zipf_frequencies
+from test_write_frames import _frames
 
 
 def build(cls, seed, keys, weight=1.0):
@@ -708,25 +709,13 @@ def _mean_write_calls(cls, n, steps=256):
     for k in keys[:n]:
         t.insert(k)
     live = keys[:n]
-    counts = {"insert": 0, "delete": 0}
-    op = None
-
-    def profile(frame, event, arg):
-        if event == "call":
-            counts[op] += 1
-
+    inserts = deletes = 0
     for k in keys[n:]:
         victim = live.pop(rng.randrange(len(live)))
-        op = "insert"
-        sys.setprofile(profile)
-        t.insert(k)
-        sys.setprofile(None)
-        op = "delete"
-        sys.setprofile(profile)
-        t.delete(victim)
-        sys.setprofile(None)
+        inserts += len(_frames(t.insert, k))
+        deletes += len(_frames(t.delete, victim))
         live.append(k)
-    return counts["insert"] / steps, counts["delete"] / steps
+    return inserts / steps, deletes / steps
 
 
 @pytest.mark.parametrize("cls, op", [(AVLTree, "insert"), (AVLTree, "delete"),
